@@ -165,7 +165,7 @@ func TestHybridSelectorPrefersBetterComponent(t *testing.T) {
 }
 
 func TestBTBHitMissAndLRU(t *testing.T) {
-	b := NewBTB(2, 2) // tiny: 2 sets x 2 ways
+	b := NewBTB(2, 2, nil) // tiny: 2 sets x 2 ways
 	if _, ok := b.Lookup(0x1000); ok {
 		t.Error("empty BTB should miss")
 	}
@@ -189,7 +189,7 @@ func TestBTBHitMissAndLRU(t *testing.T) {
 }
 
 func TestBTBLRUEviction(t *testing.T) {
-	b := NewBTB(1, 2) // one set, 2 ways
+	b := NewBTB(1, 2, nil) // one set, 2 ways
 	b.Update(0x10, 1)
 	b.Update(0x20, 2)
 	b.Lookup(0x10)    // touch 0x10 -> LRU victim is 0x20
@@ -208,7 +208,7 @@ func TestBTBLRUEviction(t *testing.T) {
 func TestBTBQuickNeverForgetsLastUpdateWithinCapacity(t *testing.T) {
 	// Property: with a direct-mapped BTB, looking up the same PC right
 	// after updating it always hits with the installed target.
-	b := NewBTB(64, 1)
+	b := NewBTB(64, 1, nil)
 	f := func(pcSeed, target uint32) bool {
 		pc := pcSeed &^ 3 // word aligned
 		b.Update(pc, target)
@@ -220,13 +220,39 @@ func TestBTBQuickNeverForgetsLastUpdateWithinCapacity(t *testing.T) {
 	}
 }
 
+// TestBTBPoolReuseStartsEmpty releases a used BTB into a pool and builds
+// the next one from it: the released one keeps its statistics, and the new
+// one reuses the array yet misses on every branch the old one held.
+func TestBTBPoolReuseStartsEmpty(t *testing.T) {
+	var pool BTBPool
+	old := NewBTB(16, 2, &pool)
+	for pc := uint32(4); pc < 4*64; pc += 4 {
+		old.Update(pc, pc+0x100)
+	}
+	arr := old.entries
+	want := old.Stats
+	old.Release(&pool)
+	if old.Stats != want || want.Updates == 0 {
+		t.Fatalf("released BTB stats = %+v, want %+v", old.Stats, want)
+	}
+	b := NewBTB(16, 2, &pool)
+	if &b.entries[0] != &arr[0] {
+		t.Fatal("the new BTB did not reuse the released array")
+	}
+	for pc := uint32(4); pc < 4*64; pc += 4 {
+		if _, ok := b.Lookup(pc); ok {
+			t.Fatalf("pc %#x hits in a BTB built from a released array", pc)
+		}
+	}
+}
+
 func TestBTBPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("bad geometry should panic")
 		}
 	}()
-	NewBTB(3, 2)
+	NewBTB(3, 2, nil)
 }
 
 func TestConfidenceResetting(t *testing.T) {

@@ -1,5 +1,7 @@
 package bpred
 
+import "retstack/internal/slicepool"
+
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 // Following the paper's baseline it is decoupled from the direction
 // predictor and allocates entries only for taken branches, which lets it
@@ -7,15 +9,24 @@ package bpred
 // processor without a return-address stack predicts returns from the BTB —
 // the configuration quantified by the paper's Table 4.
 type BTB struct {
-	sets   int
-	ways   int
-	tags   []uint32 // sets*ways; 0 means invalid (PC 0 never holds a branch)
-	target []uint32
-	stamp  []uint64 // last-use timestamp; the smallest in a set is the victim
-	clock  uint64
+	sets    int
+	ways    int
+	entries []btbEntry // sets*ways, a set's ways adjacent
+	clock   uint64
 
 	Stats BTBStats
 }
+
+// btbEntry is one BTB way.
+type btbEntry struct {
+	tag    uint32 // branch PC; 0 means invalid (PC 0 never holds a branch)
+	target uint32
+	stamp  uint64 // last-use timestamp; the smallest in a set is the victim
+}
+
+// BTBPool recycles entry arrays between BTBs built one after another (see
+// NewBTB and BTB.Release).
+type BTBPool = slicepool.Pool[btbEntry]
 
 // BTBStats counts lookup outcomes.
 type BTBStats struct {
@@ -24,33 +35,38 @@ type BTBStats struct {
 	Updates uint64
 }
 
-// NewBTB returns a BTB with the given geometry; both arguments must be
-// powers of two (ways may be 1 for direct-mapped).
-func NewBTB(sets, ways int) *BTB {
+// NewBTB returns a BTB with the given geometry, drawing its entry array
+// from pool (nil allocates it); both sizes must be powers of two (ways may
+// be 1 for direct-mapped).
+func NewBTB(sets, ways int, pool *BTBPool) *BTB {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic("bpred: BTB geometry must be positive powers of two")
 	}
-	n := sets * ways
-	return &BTB{
-		sets:   sets,
-		ways:   ways,
-		tags:   make([]uint32, n),
-		target: make([]uint32, n),
-		stamp:  make([]uint64, n),
-	}
+	return &BTB{sets: sets, ways: ways, entries: pool.Take(sets * ways)}
 }
 
-func (b *BTB) setOf(pc uint32) int { return int((pc >> 2) & uint32(b.sets-1)) }
+// Release returns the BTB's entry array to pool. Its statistics stay
+// readable; it must not be used again.
+func (b *BTB) Release(pool *BTBPool) {
+	pool.Put(b.entries)
+	b.entries = nil
+}
+
+// set returns the ways of the set pc maps to.
+func (b *BTB) set(pc uint32) []btbEntry {
+	base := int((pc>>2)&uint32(b.sets-1)) * b.ways
+	return b.entries[base : base+b.ways : base+b.ways]
+}
 
 // Lookup returns the predicted target for the branch at pc.
 func (b *BTB) Lookup(pc uint32) (target uint32, ok bool) {
 	b.Stats.Lookups++
-	base := b.setOf(pc) * b.ways
-	for w := 0; w < b.ways; w++ {
-		if b.tags[base+w] == pc {
+	set := b.set(pc)
+	for i := range set {
+		if e := &set[i]; e.tag == pc {
 			b.Stats.Hits++
-			b.touch(base + w)
-			return b.target[base+w], true
+			b.touch(e)
+			return e.target, true
 		}
 	}
 	return 0, false
@@ -60,34 +76,34 @@ func (b *BTB) Lookup(pc uint32) (target uint32, ok bool) {
 // preferring invalid ways and otherwise evicting the least recently used.
 func (b *BTB) Update(pc, target uint32) {
 	b.Stats.Updates++
-	base := b.setOf(pc) * b.ways
+	set := b.set(pc)
 	// First pass: refresh an existing entry for this PC.
-	for w := 0; w < b.ways; w++ {
-		if i := base + w; b.tags[i] == pc {
-			b.target[i] = target
-			b.touch(i)
+	for i := range set {
+		if e := &set[i]; e.tag == pc {
+			e.target = target
+			b.touch(e)
 			return
 		}
 	}
 	// Second pass: prefer an invalid way, else the least recently used.
-	victim := base
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.tags[i] == 0 {
-			victim = i
+	victim := &set[0]
+	for i := range set {
+		e := &set[i]
+		if e.tag == 0 {
+			victim = e
 			break
 		}
-		if b.stamp[i] < b.stamp[victim] {
-			victim = i
+		if e.stamp < victim.stamp {
+			victim = e
 		}
 	}
-	b.tags[victim] = pc
-	b.target[victim] = target
+	victim.tag = pc
+	victim.target = target
 	b.touch(victim)
 }
 
-// touch marks entry i most recently used.
-func (b *BTB) touch(i int) {
+// touch marks e most recently used.
+func (b *BTB) touch(e *btbEntry) {
 	b.clock++
-	b.stamp[i] = b.clock
+	e.stamp = b.clock
 }

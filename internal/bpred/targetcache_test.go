@@ -24,7 +24,7 @@ func TestTargetCacheColdAndFill(t *testing.T) {
 // target history changes the index — the property a last-target BTB lacks.
 func TestTargetCacheDisambiguatesByHistory(t *testing.T) {
 	tc := NewTargetCache(10, 8)
-	btb := NewBTB(64, 1)
+	btb := NewBTB(64, 1, nil)
 	pc := uint32(0x4000)
 	targets := []uint32{0x5000, 0x6000, 0x7000} // strict rotation
 	correctTC, correctBTB := 0, 0

@@ -10,7 +10,11 @@
 // (they add no latency) — the usual write-buffer simplification.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"retstack/internal/slicepool"
+)
 
 // Level is anything that can serve a memory reference: a cache or memory.
 type Level interface {
@@ -62,14 +66,23 @@ type Cache struct {
 	hitLatency int
 	next       Level
 
-	tags  []uint32 // line address (addr >> lineShift); valid bit packed below
-	valid []bool
-	dirty []bool
-	stamp []uint64
+	lines []line // sets*ways, a set's ways adjacent
 	clock uint64
 
 	stats Stats
 }
+
+// line is one cache line's state.
+type line struct {
+	tag   uint32 // line address (addr >> lineShift)
+	valid bool
+	dirty bool
+	stamp uint64 // last-use time; the least in a set is the LRU victim
+}
+
+// Pool recycles line arrays between caches built one after another (see
+// New and Hierarchy.Release).
+type Pool = slicepool.Pool[line]
 
 // Config describes one cache level.
 type Config struct {
@@ -80,8 +93,9 @@ type Config struct {
 	HitLatency int
 }
 
-// New builds a cache over the given next level.
-func New(cfg Config, next Level) *Cache {
+// New builds a cache over the given next level, drawing its line array
+// from pool (nil allocates it).
+func New(cfg Config, next Level, pool *Pool) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: line size must be a power of two")
 	}
@@ -100,7 +114,6 @@ func New(cfg Config, next Level) *Cache {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	n := sets * cfg.Ways
 	return &Cache{
 		name:       cfg.Name,
 		sets:       sets,
@@ -108,10 +121,7 @@ func New(cfg Config, next Level) *Cache {
 		lineShift:  shift,
 		hitLatency: cfg.HitLatency,
 		next:       next,
-		tags:       make([]uint32, n),
-		valid:      make([]bool, n),
-		dirty:      make([]bool, n),
-		stamp:      make([]uint64, n),
+		lines:      pool.Take(lines),
 	}
 }
 
@@ -127,31 +137,34 @@ func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 // Probe reports whether addr would hit, without touching cache state or
 // statistics (used by the pipeline's MSHR bookkeeping).
 func (c *Cache) Probe(addr uint32) bool {
-	line := addr >> c.lineShift
-	set := int(line) & (c.sets - 1)
-	for w := 0; w < c.ways; w++ {
-		i := set*c.ways + w
-		if c.valid[i] && c.tags[i] == line {
+	tag := addr >> c.lineShift
+	set := c.set(tag)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
 			return true
 		}
 	}
 	return false
 }
 
+// set returns the ways of the set a line address maps to.
+func (c *Cache) set(tag uint32) []line {
+	base := (int(tag) & (c.sets - 1)) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
+}
+
 // Access implements Level.
 func (c *Cache) Access(addr uint32, write bool) int {
 	c.stats.Accesses++
-	line := addr >> c.lineShift
-	set := int(line) & (c.sets - 1)
-	base := set * c.ways
+	tag := addr >> c.lineShift
+	set := c.set(tag)
 
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
+	for i := range set {
+		if l := &set[i]; l.valid && l.tag == tag {
 			c.clock++
-			c.stamp[i] = c.clock
+			l.stamp = c.clock
 			if write {
-				c.dirty[i] = true
+				l.dirty = true
 			}
 			return c.hitLatency
 		}
@@ -161,27 +174,24 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	c.stats.Misses++
 	latency := c.hitLatency + c.next.Access(addr, false)
 
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
+	victim := &set[0]
+	for i := range set {
+		l := &set[i]
+		if !l.valid {
+			victim = l
 			break
 		}
-		if c.stamp[i] < c.stamp[victim] {
-			victim = i
+		if l.stamp < victim.stamp {
+			victim = l
 		}
 	}
-	if c.valid[victim] && c.dirty[victim] {
+	if victim.valid && victim.dirty {
 		c.stats.WriteBacks++
 		// Buffered write-back: state change at the next level, no latency.
-		c.next.Access(c.tags[victim]<<c.lineShift, true)
+		c.next.Access(victim.tag<<c.lineShift, true)
 	}
-	c.valid[victim] = true
-	c.tags[victim] = line
-	c.dirty[victim] = write
 	c.clock++
-	c.stamp[victim] = c.clock
+	*victim = line{tag: tag, valid: true, dirty: write, stamp: c.clock}
 	return latency
 }
 
@@ -199,15 +209,25 @@ type HierarchyConfig struct {
 	MemLatency   int
 }
 
-// NewHierarchy wires L1I and L1D over a unified L2 over main memory.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+// NewHierarchy wires L1I and L1D over a unified L2 over main memory,
+// drawing the line arrays from pool (nil allocates them).
+func NewHierarchy(cfg HierarchyConfig, pool *Pool) *Hierarchy {
 	mem := NewMainMemory(cfg.MemLatency)
-	l2 := New(cfg.L2, mem)
+	l2 := New(cfg.L2, mem, pool)
 	return &Hierarchy{
-		L1I: New(cfg.L1I, l2),
-		L1D: New(cfg.L1D, l2),
+		L1I: New(cfg.L1I, l2, pool),
+		L1D: New(cfg.L1D, l2, pool),
 		L2:  l2,
 		Mem: mem,
+	}
+}
+
+// Release returns the hierarchy's line arrays to pool. Its statistics and
+// geometry stay readable; it must not be accessed again.
+func (h *Hierarchy) Release(pool *Pool) {
+	for _, c := range [...]*Cache{h.L1I, h.L1D, h.L2} {
+		pool.Put(c.lines)
+		c.lines = nil
 	}
 }
 

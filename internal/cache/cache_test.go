@@ -8,7 +8,7 @@ import (
 func smallCache(next Level) *Cache {
 	return New(Config{
 		Name: "l1", SizeBytes: 256, Ways: 2, LineBytes: 32, HitLatency: 1,
-	}, next)
+	}, next, nil)
 }
 
 func TestHitAfterMiss(t *testing.T) {
@@ -99,7 +99,7 @@ func TestHierarchyPlumbing(t *testing.T) {
 		L1D:        Config{Name: "l1d", SizeBytes: 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
 		L2:         Config{Name: "l2", SizeBytes: 8192, Ways: 4, LineBytes: 64, HitLatency: 8},
 		MemLatency: 50,
-	})
+	}, nil)
 	// Cold: L1I miss -> L2 miss -> memory.
 	if lat := h.L1I.Access(0x4000, false); lat != 1+8+50 {
 		t.Errorf("cold inst fetch latency = %d, want 59", lat)
@@ -113,6 +113,40 @@ func TestHierarchyPlumbing(t *testing.T) {
 	}
 	if h.String() == "" {
 		t.Error("empty summary")
+	}
+}
+
+// TestPooledHierarchyStartsCold releases a used hierarchy into a pool and
+// builds the next one from it: the released one keeps its statistics, and
+// the new one reuses the arrays yet starts with every line invalid.
+func TestPooledHierarchyStartsCold(t *testing.T) {
+	cfg := HierarchyConfig{
+		L1I:        Config{Name: "l1i", SizeBytes: 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
+		L1D:        Config{Name: "l1d", SizeBytes: 1024, Ways: 2, LineBytes: 32, HitLatency: 1},
+		L2:         Config{Name: "l2", SizeBytes: 8192, Ways: 4, LineBytes: 64, HitLatency: 8},
+		MemLatency: 50,
+	}
+	var pool Pool
+	old := NewHierarchy(cfg, &pool)
+	for a := uint32(0); a < 1<<14; a += 32 {
+		old.L1I.Access(a, false)
+		old.L1D.Access(a, true)
+	}
+	l2 := old.L2.lines
+	want := old.L1D.Stats()
+	old.Release(&pool)
+	if got := old.L1D.Stats(); got != want || got.Accesses == 0 {
+		t.Fatalf("released L1D stats = %+v, want %+v", got, want)
+	}
+
+	h := NewHierarchy(cfg, &pool)
+	if &h.L2.lines[0] != &l2[0] {
+		t.Fatal("the new L2 did not reuse the released array")
+	}
+	for a := uint32(0); a < 1<<14; a += 32 {
+		if h.L1D.Probe(a) || h.L2.Probe(a) {
+			t.Fatalf("addr %#x hits in a cache built from a released array", a)
+		}
 	}
 }
 
@@ -166,7 +200,7 @@ func TestGeometryPanics(t *testing.T) {
 					t.Errorf("config %+v should panic", cfg)
 				}
 			}()
-			New(cfg, mem)
+			New(cfg, mem, nil)
 		}()
 	}
 }

@@ -413,6 +413,18 @@ func (m *Machine) FetchBlockBody(pc uint32) int {
 	return int(n - 1)
 }
 
+// FetchBlockInsts returns the predecoded instructions and classes of the n
+// slots starting at pc and counts them as n predecode hits: FetchInstClass
+// for a run of instructions at once. pc must be an address FetchBlockBody
+// has just served, and n at most the body it reported, so the whole run
+// lies in a clean plane. The slices alias the plane and are read-only.
+func (m *Machine) FetchBlockInsts(pc uint32, n int) ([]isa.Inst, []isa.Class) {
+	insts, classes := m.plane.Tables()
+	i := int((pc - m.plane.Base()) >> 2)
+	m.PredecodeHits += uint64(n)
+	return insts[i : i+n : i+n], classes[i : i+n : i+n]
+}
+
 // noteBlockEntry counts the first dispatch of each block entry point as a
 // descriptor build. The real lazy build happens at most once per block on
 // the shared plane, so counting it directly would make BlockBuilds depend

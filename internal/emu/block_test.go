@@ -288,6 +288,42 @@ main:
 // TestRunBlocksZeroAlloc pins the acceptance criterion that steady-state
 // block dispatch allocates nothing: descriptors build once, then Run is
 // pure table walking.
+// TestFetchBlockInstsMatchesFetchInstClass: at every PC the block table
+// serves, the batched fetch of the whole body equals FetchInstClass called
+// once per instruction, and advances the predecode counters the same way.
+func TestFetchBlockInstsMatchesFetchInstClass(t *testing.T) {
+	im := blockImage(t)
+	seg, _ := im.CodeSegment()
+	batch, single := NewMachine(), NewMachine()
+	batch.Load(im)
+	single.Load(im)
+	served := 0
+	for pc := seg.Addr; pc < seg.End(); pc += isa.WordBytes {
+		n := batch.FetchBlockBody(pc)
+		if n == 0 {
+			continue
+		}
+		served++
+		insts, classes := batch.FetchBlockInsts(pc, n)
+		if len(insts) != n || len(classes) != n {
+			t.Fatalf("pc %#x: got %d/%d slots, want %d", pc, len(insts), len(classes), n)
+		}
+		for i := range insts {
+			in, cl := single.FetchInstClass(pc + uint32(i)*isa.WordBytes)
+			if insts[i] != in || classes[i] != cl {
+				t.Fatalf("pc %#x slot %d: batched %+v/%v, single %+v/%v", pc, i, insts[i], classes[i], in, cl)
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("no block bodies served; the test is vacuous")
+	}
+	if batch.PredecodeHits != single.PredecodeHits || batch.PredecodeFallbacks != single.PredecodeFallbacks {
+		t.Fatalf("predecode counters: batched %d/%d, single %d/%d", batch.PredecodeHits,
+			batch.PredecodeFallbacks, single.PredecodeHits, single.PredecodeFallbacks)
+	}
+}
+
 func TestRunBlocksZeroAlloc(t *testing.T) {
 	im, err := asm.Assemble(spinSource)
 	if err != nil {

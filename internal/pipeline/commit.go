@@ -26,7 +26,7 @@ func (s *Sim) commitStage() {
 			s.retire(e)
 			s.emit(TraceCommit, e.seq, e.pathTok, e.pc, e.inst, 0)
 		}
-		s.releaseCheckpoint(e)
+		s.releaseCheckpoint(&e.fetchSlot)
 		if e.lsqHeld {
 			e.lsqHeld = false
 			s.lsqCount--

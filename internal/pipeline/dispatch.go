@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"retstack/internal/core"
 	"retstack/internal/emu"
 	"retstack/internal/isa"
 )
@@ -49,30 +48,13 @@ func (s *Sim) dispatchStage() {
 		// commit; recycle defensively in case that invariant ever slips.
 		s.recycleCheckpoint(&e.checkpoint)
 		s.ruuState[s.ruuTail] = ruuValid
-		*e = ruuEntry{
-			seq:           slot.seq,
-			pathTok:       slot.pathTok,
-			pc:            slot.pc,
-			inst:          slot.inst,
-			class:         slot.class,
-			destReg:       slot.inst.DestReg(),
-			predNPC:       slot.predNPC,
-			predTaken:     slot.predTaken,
-			fromRAS:       slot.fromRAS,
-			rasPushed:     slot.rasPushed,
-			rasPopped:     slot.rasPopped,
-			rasUnderflow:  slot.rasUnderflow,
-			rasAux:        slot.rasAux,
-			hasCheckpoint: slot.hasCheckpoint,
-			checkpoint:    slot.checkpoint,
-			histSnap:      slot.histSnap,
-			forked:        slot.forked,
-			childToken:    slot.childToken,
-			isCtrl:        slot.class.IsControl(),
-			depIdx:        [2]int{invalidIdx, invalidIdx},
-		}
-		slot.checkpoint = core.Checkpoint{} // buffer now owned by the entry
-		slot.hasCheckpoint = false
+		s.waiting.add(s.ruuTail)
+		e.fetchSlot = *slot
+		slot.clearCheckpoint() // buffer now owned by the entry
+		e.ruuExec = ruuExec{}
+		e.depIdx = [2]int{invalidIdx, invalidIdx}
+		e.destReg = e.inst.DestReg()
+		e.isCtrl = e.class.IsControl()
 		s.popFetchSlot()
 
 		s.executeAtDispatch(p, e)
@@ -112,11 +94,7 @@ func (s *Sim) dropFetchSlot(slot *fetchSlot) {
 	if slot.rasPopped {
 		s.stats.WrongPathPops++
 	}
-	if slot.hasCheckpoint {
-		s.shadowUsed--
-		slot.hasCheckpoint = false
-	}
-	s.recycleCheckpoint(&slot.checkpoint)
+	s.releaseCheckpoint(slot)
 	s.emitA(TraceSquash, slot.seq, slot.pathTok, slot.pc, slot.inst, 0,
 		slot.rasAux,
 		rasActivityFlags(slot.rasPushed, slot.rasPopped, slot.rasUnderflow)|FlagDropped)

@@ -32,6 +32,7 @@ func (s *Sim) fetchStage() {
 // remaining budget.
 func (s *Sim) fetchPath(p *path, budget int) int {
 	lineBytes := uint32(s.hier.L1I.LineBytes())
+	mach := s.threadOf(p).mach
 	for budget > 0 {
 		if s.fetchQLen == len(s.fetchQ) {
 			return budget
@@ -55,26 +56,18 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 		// of them (provably non-control), so the slots need only sequential
 		// predNPCs. Capped at the budget, the queue space, and the current
 		// cache line; the next line gets its own access/stall check at the
-		// top of the loop. Byte-identical to the per-instruction path below
-		// by construction: same FetchInstClass per instruction (same
-		// predecode counters), same slot fields, same per-instruction trace
-		// events (the TraceBlock marker is additional, not a substitute).
-		if body := s.threadOf(p).mach.FetchBlockBody(pc); body > 0 {
-			mach := s.threadOf(p).mach
-			take := body
-			if take > budget {
-				take = budget
-			}
-			if space := len(s.fetchQ) - s.fetchQLen; take > space {
-				take = space
-			}
-			if toLine := int((lineBytes - pc%lineBytes) / isa.WordBytes); take > toLine {
-				take = toLine
-			}
+		// top of the loop. The run's instructions and classes come from the
+		// plane in one call that counts the same predecode hits as one
+		// FetchInstClass per instruction, and every instruction still gets
+		// its own slot and trace event (the TraceBlock marker is
+		// additional, not a substitute).
+		if body := mach.FetchBlockBody(pc); body > 0 {
+			take := min(body, budget, len(s.fetchQ)-s.fetchQLen,
+				int((lineBytes-pc%lineBytes)/isa.WordBytes))
 			s.emitA(TraceBlock, s.nextSeq+1, p.token, pc, isa.Inst{},
 				uint32(take), uint32(body), 0)
-			for i := 0; i < take; i++ {
-				in, cl := mach.FetchInstClass(pc)
+			insts, classes := mach.FetchBlockInsts(pc, take)
+			for i, in := range insts {
 				budget--
 				s.stats.Fetched++
 				s.nextSeq++
@@ -83,15 +76,7 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 					tail -= len(s.fetchQ)
 				}
 				slot := &s.fetchQ[tail]
-				*slot = fetchSlot{
-					seq:     s.nextSeq,
-					pathTok: p.token,
-					pc:      pc,
-					inst:    in,
-					class:   cl,
-					readyAt: s.cycle + uint64(s.cfg.BranchLat),
-					predNPC: pc + isa.WordBytes,
-				}
+				slot.reset(s.nextSeq, p.token, pc, in, classes[i], s.cycle+uint64(s.cfg.BranchLat))
 				s.fetchQLen++
 				s.emit(TraceFetch, slot.seq, p.token, pc, in, slot.predNPC)
 				pc += isa.WordBytes
@@ -103,33 +88,24 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 		// Fetch through the predecode plane: two table loads (instruction
 		// and precomputed class) for in-segment PCs, Read32+Decode+classify
 		// otherwise (identical result, see FetchInstClass).
-		in, cl := s.threadOf(p).mach.FetchInstClass(pc)
+		in, cl := mach.FetchInstClass(pc)
 		budget--
 		s.stats.Fetched++
 		s.nextSeq++
 
-		// Build the slot directly in its ring position. Writing a local
-		// fetchSlot first and copying it in would make the local escape to
-		// the heap (predictControl passes &slot.checkpoint through the
+		// Fill the slot in its ring position. Writing a local fetchSlot
+		// first and copying it in would make the local escape to the heap
+		// (predictControl passes &slot.checkpoint through the
 		// core.ReturnStack interface) — one allocation per fetched
-		// instruction, the simulator's dominant allocation site. Checkpoint
-		// buffers are pooled centrally (cpFree), so the slot starts with an
-		// empty checkpoint; takeCheckpoint borrows a recycled buffer when it
-		// needs one.
+		// instruction. Checkpoint buffers are pooled centrally (cpFree), so
+		// the slot starts with an empty checkpoint; takeCheckpoint borrows
+		// a recycled buffer when it needs one.
 		tail := s.fetchQHead + s.fetchQLen
 		if tail >= len(s.fetchQ) {
 			tail -= len(s.fetchQ)
 		}
 		slot := &s.fetchQ[tail]
-		*slot = fetchSlot{
-			seq:     s.nextSeq,
-			pathTok: p.token,
-			pc:      pc,
-			inst:    in,
-			class:   cl,
-			readyAt: s.cycle + uint64(s.cfg.BranchLat),
-			predNPC: pc + isa.WordBytes,
-		}
+		slot.reset(s.nextSeq, p.token, pc, in, cl, s.cycle+uint64(s.cfg.BranchLat))
 
 		stop := s.predictControl(p, slot)
 		s.fetchQLen++

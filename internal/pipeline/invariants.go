@@ -13,6 +13,14 @@ func (s *Sim) CheckInvariants() error {
 	for i := range s.ruu {
 		e := &s.ruu[i]
 		st := s.ruuState[i]
+		// The candidate sets mirror the two exact states issue and
+		// writeback look for.
+		if s.waiting.has(i) != (st == ruuValid) {
+			return fmt.Errorf("invariant: RUU slot %d state %#x but waiting=%v", i, st, s.waiting.has(i))
+		}
+		if s.inflight.has(i) != (st == ruuValid|ruuIssued) {
+			return fmt.Errorf("invariant: RUU slot %d state %#x but inflight=%v", i, st, s.inflight.has(i))
+		}
 		if st&ruuValid == 0 {
 			if st != 0 {
 				return fmt.Errorf("invariant: invalid RUU slot %d has state bits %#x", i, st)

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -27,6 +29,18 @@ func TestInvariantsEveryCycle(t *testing.T) {
 		{"2-path", mpConfig(2, config.MPPerPath), corruptorProgram},
 		{"4-path-unified", mpConfig(4, config.MPUnified), fibProgram},
 		{"8-path", mpConfig(8, config.MPUnifiedRepair), corruptorProgram},
+		// Rings longer than one word of the candidate sets, whose head
+		// crosses word boundaries as it wraps.
+		{"ruu-65", func() config.Config {
+			c := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
+			c.RUUSize = 65
+			return c
+		}(), corruptorProgram},
+		{"ruu-128-2-path", func() config.Config {
+			c := mpConfig(2, config.MPPerPath)
+			c.RUUSize = 128
+			return c
+		}(), corruptorProgram},
 	}
 	for _, c := range cases {
 		c := c
@@ -45,6 +59,41 @@ func TestInvariantsEveryCycle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRUUSetWalkMatchesRingScan checks the candidate sets' oldest-first
+// walk against the plain ring scan it replaces, for rings of one word,
+// exactly one word, just over one word and two words, at every head
+// position, over random occupancies of the window the head starts.
+func TestRUUSetWalkMatchesRingScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 63, 64, 65, 128} {
+		for head := 0; head < n; head++ {
+			for trial := 0; trial < 8; trial++ {
+				count := rng.Intn(n + 1)
+				b := newRUUSet(n)
+				var want []int
+				for k := 0; k < count; k++ {
+					if idx := (head + k) % n; rng.Intn(2) == 0 {
+						b.add(idx)
+						want = append(want, idx)
+					}
+				}
+				var got []int
+				w := b.walk(head)
+				for {
+					idx := w.next()
+					if idx < 0 {
+						break
+					}
+					got = append(got, idx)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("n=%d head=%d count=%d: walk %v, ring scan %v", n, head, count, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -103,11 +152,4 @@ func TestTraceKindStrings(t *testing.T) {
 	if TraceKind(99).String() == "" {
 		t.Error("unknown kind should format")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

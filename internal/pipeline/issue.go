@@ -15,19 +15,13 @@ func (s *Sim) issueStage() {
 	memLeft := s.cfg.MemPorts
 	s.expireMisses()
 
-	// Increment-and-wrap beats a per-element modulo: this loop runs RUU-size
-	// iterations every cycle, and the division is measurable.
-	next := s.ruuHead
-	for k := 0; k < s.ruuCount && issueLeft > 0; k++ {
-		idx := next
-		if next++; next == len(s.ruu) {
-			next = 0
-		}
-		// Reject on the compact state byte before touching the entry: most
-		// slots are already issued or completed, and the wide ruuEntry load
-		// is what makes this scan expensive.
-		if s.ruuState[idx] != ruuValid {
-			continue
+	// Walk only the unissued entries, oldest first. Issuing removes only
+	// the entry just visited from the set, so no state re-check is needed.
+	w := s.waiting.walk(s.ruuHead)
+	for issueLeft > 0 {
+		idx := w.next()
+		if idx < 0 {
+			break
 		}
 		e := &s.ruu[idx]
 		if !s.depsReady(e) {
@@ -92,6 +86,8 @@ func (s *Sim) issueStage() {
 		}
 
 		s.ruuState[idx] |= ruuIssued
+		s.waiting.remove(idx)
+		s.inflight.add(idx)
 		e.completeAt = s.cycle + uint64(lat)
 		issueLeft--
 	}
@@ -150,14 +146,15 @@ func (s *Sim) loadForwarding(loadIdx int, e *ruuEntry) (forwarded, ready bool) {
 // side, and mispredicted correct-path branches trigger recovery (squash,
 // refetch, and return-address-stack repair).
 func (s *Sim) writebackStage() {
-	next := s.ruuHead
-	for k := 0; k < s.ruuCount; k++ {
-		idx := next
-		if next++; next == len(s.ruu) {
-			next = 0
+	// Walk only the in-flight entries, oldest first. A recovery below
+	// squashes younger entries the walk may already hold (see ruuWalk), so
+	// each visited entry's state is checked again.
+	w := s.inflight.walk(s.ruuHead)
+	for {
+		idx := w.next()
+		if idx < 0 {
+			break
 		}
-		// Same compact-state rejection as issueStage: in-flight entries are
-		// exactly valid|issued.
 		if s.ruuState[idx] != ruuValid|ruuIssued {
 			continue
 		}
@@ -166,6 +163,7 @@ func (s *Sim) writebackStage() {
 			continue
 		}
 		s.ruuState[idx] |= ruuCompleted
+		s.inflight.remove(idx)
 		s.emit(TraceComplete, e.seq, e.pathTok, e.pc, e.inst, 0)
 
 		if e.forked {
@@ -175,7 +173,7 @@ func (s *Sim) writebackStage() {
 			s.recover(e)
 		}
 		// The branch is resolved; its shadow checkpoint is dead either way.
-		s.releaseCheckpoint(e)
+		s.releaseCheckpoint(&e.fetchSlot)
 	}
 }
 
@@ -199,14 +197,15 @@ func (s *Sim) allocMSHR(lat uint64) {
 	s.misses = append(s.misses, s.cycle+lat)
 }
 
-// releaseCheckpoint frees an entry's shadow slot and recycles its buffer.
-// Safe to call more than once (resolution and commit both release).
-func (s *Sim) releaseCheckpoint(e *ruuEntry) {
-	if e.hasCheckpoint {
+// releaseCheckpoint frees a slot's or an entry's shadow slot and recycles
+// its buffer. Safe to call more than once (resolution and commit both
+// release).
+func (s *Sim) releaseCheckpoint(sl *fetchSlot) {
+	if sl.hasCheckpoint {
 		s.shadowUsed--
-		e.hasCheckpoint = false
+		sl.hasCheckpoint = false
 	}
-	s.recycleCheckpoint(&e.checkpoint)
+	s.recycleCheckpoint(&sl.checkpoint)
 }
 
 // recycleCheckpoint invalidates a checkpoint and moves its full-stack

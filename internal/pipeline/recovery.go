@@ -191,8 +191,10 @@ func (s *Sim) killSubtree(root *path) {
 func (s *Sim) squashEntry(idx int) {
 	e := &s.ruu[idx]
 	s.ruuState[idx] |= ruuSquashed | ruuCompleted
+	s.waiting.remove(idx)
+	s.inflight.remove(idx)
 	e.recovers = false
-	s.releaseCheckpoint(e)
+	s.releaseCheckpoint(&e.fetchSlot)
 	if e.lsqHeld {
 		e.lsqHeld = false
 		s.lsqCount--
@@ -276,7 +278,8 @@ func (s *Sim) flushDoomedSlots(tok, seq uint64) {
 			continue
 		}
 		if dst != cur {
-			s.fetchQ[dst] = *sl // checkpoint buffers are pool-owned; plain move
+			s.fetchQ[dst] = *sl
+			sl.clearCheckpoint() // the buffer moved with the slot
 		}
 		if dst++; dst == len(s.fetchQ) {
 			dst = 0

@@ -1,24 +1,31 @@
 package pipeline
 
 import (
+	"retstack/internal/bpred"
+	"retstack/internal/cache"
 	"retstack/internal/config"
 	"retstack/internal/emu"
 	"retstack/internal/program"
+	"retstack/internal/slicepool"
 )
 
 // Recycler pools a simulator's bulk allocations — the RUU ring, the fetch
-// queue, and full-stack checkpoint backing buffers — across the sequence
-// of Sim instances one sweep worker runs. A multi-hundred-cell sweep
-// otherwise re-allocates (and re-garbage-collects) the same few structures
-// hundreds of times.
+// queue, the cache hierarchy's line arrays, the BTB's entry array,
+// full-stack checkpoint backing buffers and flat overlays — across the
+// sequence of Sim instances one sweep worker runs. A multi-hundred-cell
+// sweep otherwise re-allocates (and re-garbage-collects) the same few
+// structures hundreds of times, and keeps every finished cell's arrays
+// alive until its table renders.
 //
 // A Recycler is owned by exactly one worker and is NOT safe for concurrent
 // use; workers never share one. Recycled storage is zeroed on reuse, so a
 // pooled Sim is indistinguishable from a freshly allocated one — the sweep
 // determinism contract (parallel == serial, byte-identical) is preserved.
 type Recycler struct {
-	ruu      [][]ruuEntry
-	slots    [][]fetchSlot
+	ruu      slicepool.Pool[ruuEntry]
+	slots    slicepool.Pool[fetchSlot]
+	lines    cache.Pool
+	btbs     bpred.BTBPool
 	bufs     [][]uint32
 	overlays []*emu.Overlay
 }
@@ -26,45 +33,9 @@ type Recycler struct {
 // NewRecycler returns an empty pool.
 func NewRecycler() *Recycler { return &Recycler{} }
 
-// takeRUU returns a zeroed ring of n entries, reusing pooled storage when
-// one with sufficient capacity exists.
-func (r *Recycler) takeRUU(n int) []ruuEntry {
-	if r != nil {
-		for i := len(r.ruu) - 1; i >= 0; i-- {
-			if cap(r.ruu[i]) >= n {
-				s := r.ruu[i][:n]
-				r.ruu[i] = r.ruu[len(r.ruu)-1]
-				r.ruu = r.ruu[:len(r.ruu)-1]
-				clear(s)
-				return s
-			}
-		}
-	}
-	return make([]ruuEntry, n)
-}
-
-// takeSlots returns a zeroed fetch queue of n slots.
-func (r *Recycler) takeSlots(n int) []fetchSlot {
-	if r != nil {
-		for i := len(r.slots) - 1; i >= 0; i-- {
-			if cap(r.slots[i]) >= n {
-				s := r.slots[i][:n]
-				r.slots[i] = r.slots[len(r.slots)-1]
-				r.slots = r.slots[:len(r.slots)-1]
-				clear(s)
-				return s
-			}
-		}
-	}
-	return make([]fetchSlot, n)
-}
-
 // takeBufs moves every pooled checkpoint buffer into a Sim's free list.
 // Contents are irrelevant: SaveInto overwrites a buffer before it is read.
 func (r *Recycler) takeBufs() [][]uint32 {
-	if r == nil || len(r.bufs) == 0 {
-		return nil
-	}
 	b := r.bufs
 	r.bufs = nil
 	return b
@@ -75,20 +46,19 @@ func (r *Recycler) takeBufs() [][]uint32 {
 // takeOverlay before use, so stale contents and hooks cannot leak between
 // simulations.
 func (r *Recycler) takeOverlays() []*emu.Overlay {
-	if r == nil || len(r.overlays) == 0 {
-		return nil
-	}
 	o := r.overlays
 	r.overlays = nil
 	return o
 }
 
 // Release returns the Sim's bulk storage to the pool. Call it only after
-// Run has finished and only when the Sim will not run again — the Sim
-// keeps its statistics, machines, and predictors (everything the runners
-// read), but its RUU and fetch queue are gone. Checkpoint buffers still
-// owned by in-flight entries are harvested first so no stack copy leaks
-// with the ring.
+// Run has finished and only when the Sim will not run again. The Sim keeps
+// its statistics, machines and direction predictor, and Caches() and BTB()
+// keep their statistics and geometry, but the RUU, the fetch queue, the
+// cache line arrays and the BTB entries are gone. Checkpoint buffers still
+// owned by queued slots and in-flight entries are harvested first, so no
+// stack copy leaks with the rings; each buffer has exactly one owner, so
+// none is pooled twice.
 func (s *Sim) Release(r *Recycler) {
 	if r == nil {
 		return
@@ -104,8 +74,10 @@ func (s *Sim) Release(r *Recycler) {
 		}
 	}
 	r.bufs = append(r.bufs, s.cpFree...)
-	r.ruu = append(r.ruu, s.ruu)
-	r.slots = append(r.slots, s.fetchQ)
+	r.ruu.Put(s.ruu)
+	r.slots.Put(s.fetchQ)
+	s.hier.Release(&r.lines)
+	s.btb.Release(&r.btbs)
 	s.ruu, s.fetchQ, s.cpFree = nil, nil, nil
 	// Harvest flat overlays still attached to live paths along with the
 	// Sim's own free list, detaching the spill counters that point into

@@ -39,6 +39,8 @@ type Sim struct {
 
 	ruu      []ruuEntry
 	ruuState []uint8 // lifecycle flags, parallel to ruu (see ruuValid)
+	waiting  ruuSet  // slots whose state is exactly ruuValid
+	inflight ruuSet  // slots whose state is exactly ruuValid|ruuIssued
 	ruuHead  int     // oldest
 	ruuTail  int     // next free
 	ruuCount int
@@ -135,6 +137,9 @@ func NewSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 		return nil, fmt.Errorf("pipeline: %d images for %d threads", len(ims), want)
 	}
 
+	if r == nil {
+		r = NewRecycler() // an empty pool: everything is allocated fresh
+	}
 	s := &Sim{
 		cfg: cfg,
 		hier: cache.NewHierarchy(cache.HierarchyConfig{
@@ -145,15 +150,17 @@ func NewSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 			L2: cache.Config{Name: "l2", SizeBytes: cfg.L2.SizeBytes, Ways: cfg.L2.Ways,
 				LineBytes: cfg.L2.LineBytes, HitLatency: cfg.L2.HitLatency},
 			MemLatency: cfg.MemLatency,
-		}),
-		btb:  bpred.NewBTB(cfg.BTBSets, cfg.BTBWays),
+		}, &r.lines),
+		btb:  bpred.NewBTB(cfg.BTBSets, cfg.BTBWays, &r.btbs),
 		conf: bpred.NewConfidence(10, 4, cfg.ConfThreshold),
 
-		ruu:      r.takeRUU(cfg.RUUSize),
+		ruu:      r.ruu.Take(cfg.RUUSize),
 		ruuState: make([]uint8, cfg.RUUSize),
-		fetchQ:   r.takeSlots(cfg.FetchWidth * (cfg.BranchLat + 2)),
-		cpFree: r.takeBufs(),
-		ovFree: r.takeOverlays(),
+		waiting:  newRUUSet(cfg.RUUSize),
+		inflight: newRUUSet(cfg.RUUSize),
+		fetchQ:   r.slots.Take(cfg.FetchWidth * (cfg.BranchLat + 2)),
+		cpFree:   r.takeBufs(),
+		ovFree:   r.takeOverlays(),
 	}
 	switch cfg.DirPred {
 	case config.DirGShare:

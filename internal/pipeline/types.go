@@ -25,6 +25,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"retstack/internal/bpred"
 	"retstack/internal/core"
 	"retstack/internal/emu"
@@ -35,13 +37,14 @@ import (
 const invalidIdx = -1
 
 // RUU lifecycle flags, kept in Sim.ruuState — a compact byte array parallel
-// to the RUU ring — rather than as bools inside ruuEntry. The issue and
-// writeback stages scan the full ring every cycle and reject most entries
-// on these flags alone; with ~250-byte entries that scan strides a cache
-// line per entry, while the byte array keeps the whole occupancy check in
-// one or two lines. Entry state tests compare against exact bit patterns:
-// an unissued candidate is exactly ruuValid, an in-flight one exactly
-// ruuValid|ruuIssued (squashed entries are always also completed).
+// to the RUU ring — rather than as bools inside ruuEntry, so the stages
+// that test an entry's lifecycle (dependency checks, load forwarding,
+// squash and rebuild walks, commit) read one byte instead of a wide entry.
+// Entry state tests compare against exact bit patterns: an unissued
+// candidate is exactly ruuValid, an in-flight one exactly
+// ruuValid|ruuIssued (squashed entries are always also completed). Those
+// two patterns are mirrored in the Sim's waiting and inflight sets (see
+// ruuSet), which issue and writeback walk instead of the whole ring.
 const (
 	ruuValid     uint8 = 1 << iota // slot holds a dispatched instruction
 	ruuIssued                      // sent to a functional unit
@@ -49,15 +52,17 @@ const (
 	ruuSquashed                    // wrong-path work draining to commit
 )
 
-// ruuEntry is one slot of the register update unit. Its lifecycle flags
-// live in Sim.ruuState (see above).
+// ruuEntry is one slot of the register update unit: the fetch slot it was
+// dispatched from, moved in whole, plus the state dispatch and the later
+// stages fill in. Its lifecycle flags live in Sim.ruuState (see above).
 type ruuEntry struct {
-	seq     uint64 // fetch-order sequence number
-	pathTok  uint64 // owning path's token (slots are recycled; tokens not)
-	pc       uint32
-	inst     isa.Inst
-	class    isa.Class
+	fetchSlot
+	ruuExec
+}
 
+// ruuExec is the part of an RUU entry that dispatch zeroes in place and
+// the execution stages fill in.
+type ruuExec struct {
 	// Dependencies for issue timing: up to two producer RUU slots, guarded
 	// by sequence number against slot recycling.
 	depIdx [2]int
@@ -74,29 +79,12 @@ type ruuEntry struct {
 
 	// Control-flow resolution state.
 	isCtrl      bool
-	predNPC     uint32
 	actualNPC   uint32
-	predTaken   bool
 	actualTaken bool
 	mispred     bool // prediction != outcome, discovered at dispatch
 	recovers    bool // resolution must trigger a squash/redirect
-	fromRAS     bool // return whose prediction came from the RAS
-	rasPushed   bool // fetch pushed the RAS for this instruction
-	rasPopped   bool // fetch popped the RAS for this instruction
-	rasUnderflow bool // the fetch-time pop read an empty stack
-	rasAux      uint32 // packed stack/slot the push wrote or pop read (tracing)
-
-	// RAS shadow state for repair.
-	hasCheckpoint bool
-	checkpoint    core.Checkpoint
-
-	// Direction-predictor history at prediction time (speculative-history
-	// mode: commit trains these indices, recovery restores the registers).
-	histSnap bpred.HistorySnapshot
 
 	// Multipath fork bookkeeping.
-	forked      bool
-	childToken  uint64 // token of the path created for the fall-through side
 	loserToken  uint64 // set at dispatch: the side that must squash at resolve
 	loserParent bool   // the losing side is the parent's continuation
 
@@ -108,29 +96,107 @@ type ruuEntry struct {
 }
 
 // fetchSlot is one entry of the fetch queue between the fetch engine and
-// dispatch. The front-end depth (Config.BranchLat) is modeled by readyAt.
+// dispatch, and the fetch-time half of an RUU entry. The front-end depth
+// (Config.BranchLat) is modeled by readyAt. Dispatch copies the slot
+// whole, so its fields are ordered by size to leave no padding.
 type fetchSlot struct {
-	seq     uint64
-	pathTok uint64
-	pc      uint32
+	seq        uint64 // fetch-order sequence number
+	pathTok    uint64 // owning path's token (slots are recycled; tokens not)
+	readyAt    uint64
+	childToken uint64 // forked: token of the path created for the fall-through side
+
+	// RAS shadow state for repair. A checkpoint's full-stack buffer has
+	// exactly one owner: a queued slot, an RUU entry, or the Sim's free
+	// list.
+	checkpoint core.Checkpoint
+
+	// Direction-predictor history at prediction time (speculative-history
+	// mode: commit trains these indices, recovery restores the registers).
+	histSnap bpred.HistorySnapshot
+
 	inst    isa.Inst
-	class   isa.Class
-	readyAt uint64
+	pc      uint32
+	predNPC uint32
+	rasAux  uint32 // packed stack/slot the push wrote or pop read (see PackRASAux)
 
-	predNPC      uint32
-	predTaken    bool
-	fromRAS      bool
-	rasPushed    bool
-	rasPopped    bool
-	rasUnderflow bool
-	rasAux       uint32 // packed stack/slot reference (see PackRASAux)
-
+	class         isa.Class
+	predTaken     bool
+	fromRAS       bool // return whose prediction came from the RAS
+	rasPushed     bool // fetch pushed the RAS for this instruction
+	rasPopped     bool // fetch popped the RAS for this instruction
+	rasUnderflow  bool // the fetch-time pop read an empty stack
 	hasCheckpoint bool
-	checkpoint    core.Checkpoint
-	histSnap      bpred.HistorySnapshot
+	forked        bool
+}
 
-	forked     bool
-	childToken uint64
+// reset fills a ring slot for a newly fetched instruction. The slot is
+// zeroed in place and then filled: assigning a non-zero composite literal
+// through the pointer would build it in a temporary and copy it in.
+func (sl *fetchSlot) reset(seq, pathTok uint64, pc uint32, in isa.Inst, cl isa.Class, readyAt uint64) {
+	*sl = fetchSlot{}
+	sl.seq, sl.pathTok, sl.pc, sl.inst, sl.class, sl.readyAt = seq, pathTok, pc, in, cl, readyAt
+	sl.predNPC = pc + isa.WordBytes
+}
+
+// clearCheckpoint forgets the slot's checkpoint after its buffer has moved
+// to another owner, so the buffer is never reachable from two places.
+func (sl *fetchSlot) clearCheckpoint() {
+	sl.hasCheckpoint = false
+	sl.checkpoint = core.Checkpoint{}
+}
+
+// ruuSet is a bitset over RUU slots. The Sim keeps two, waiting (state
+// exactly ruuValid) and inflight (exactly ruuValid|ruuIssued), updated at
+// every ruuState write that enters or leaves those states, so issue and
+// writeback visit only their candidates instead of scanning the ring.
+type ruuSet []uint64
+
+func newRUUSet(n int) ruuSet { return make(ruuSet, (n+63)/64) }
+
+func (b ruuSet) add(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b ruuSet) remove(i int)   { b[i>>6] &^= 1 << (i & 63) }
+func (b ruuSet) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// walk starts an oldest-first walk over the set's members. Members are
+// always occupied slots, which lie in ring order from the head, so the
+// walk takes the head's word from the head's bit up, the following words
+// round the ring, and finally the head's word below the head's bit.
+func (b ruuSet) walk(head int) ruuWalk {
+	h := head >> 6
+	above := ^uint64(0) << (head & 63)
+	return ruuWalk{set: b, word: h, cur: b[h] & above, left: len(b), below: ^above}
+}
+
+// ruuWalk is an oldest-first walk over a ruuSet. Each word is read once,
+// when the walk reaches it: a member removed from the current word after
+// that is still visited, so a caller that removes members other than the
+// one just visited must re-check each visited slot's state.
+type ruuWalk struct {
+	set   ruuSet
+	word  int    // index of the word being walked
+	cur   uint64 // its members not yet visited
+	left  int    // words still to read
+	below uint64 // mask for the head's word on the final read
+}
+
+// next returns the next member, or -1 when the walk is done.
+func (w *ruuWalk) next() int {
+	for w.cur == 0 {
+		if w.left == 0 {
+			return -1
+		}
+		w.left--
+		if w.word++; w.word == len(w.set) {
+			w.word = 0
+		}
+		w.cur = w.set[w.word]
+		if w.left == 0 {
+			w.cur &= w.below
+		}
+	}
+	i := w.word<<6 + bits.TrailingZeros64(w.cur)
+	w.cur &= w.cur - 1
+	return i
 }
 
 // path is a fetch/execution context. Single-path operation uses exactly
@@ -157,8 +223,6 @@ type path struct {
 	rasID uint16           // trace identity of ras: 0 = the shared stack,
 	// per-thread and per-path clones get fresh ids so the attribution layer
 	// never conflates slot indices across distinct physical stacks
-
-
 
 	// creator maps architectural registers to the RUU slot of their newest
 	// in-flight producer (guarded by seq).
