@@ -22,8 +22,6 @@
 //
 // Resilience (see README "Robustness"):
 //
-//	rasbench -exp all -journal run.jsonl         # crash-safe per-cell journal
-//	rasbench -exp all -resume run.jsonl          # splice journaled cells back in
 //	rasbench -exp all -on-cell-error=skip        # hole failed cells, keep going
 //	rasbench -exp all -on-cell-error=retry       # retry transient failures
 //	rasbench -exp all -cell-timeout 5m           # per-cell watchdog
@@ -37,8 +35,10 @@
 //
 // SIGINT/SIGTERM cancel the sweep cleanly: in-flight cells drain, telemetry
 // sinks flush, the manifest records status "interrupted", and the exit code
-// is 130. With -journal, an interrupted run's completed cells are on disk
-// and -resume picks them up.
+// is 130. With -store, every finished cell is already fsynced to the store,
+// so rerunning the same command resumes the run: stored cells splice in
+// and only the rest simulate. (-inject runs cannot use the store, so they
+// have no resume.)
 package main
 
 import (
@@ -120,8 +120,6 @@ func main() {
 
 		storePath     = flag.String("store", "", "content-addressed result store directory: cells already cached splice in without simulating, misses are persisted for the next run")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "after the run, evict oldest store segments until the store fits this many bytes (0 = never evict)")
-		journalPath   = flag.String("journal", "", "append every completed cell to this crash-safe JSONL journal")
-		resumePath    = flag.String("resume", "", "splice completed cells from this journal instead of re-running them (implies -journal to the same file)")
 		injectSpec    = flag.String("inject", "", "dev: deterministic fault plan, e.g. 'panic:3,transient:t3/5x2,hang:7,corrupt:2'")
 		injectSeed    = flag.Uint64("inject-seed", 1, "seed for the -inject corruption address sequence")
 	)
@@ -171,7 +169,7 @@ func main() {
 			title, _ := retstack.ExperimentTitle(id)
 			fmt.Printf("  %-3s %s\n", id, title)
 		}
-		fmt.Println("scalability (timing-dependent; excluded from 'all', journaling, and the store):")
+		fmt.Println("scalability (timing-dependent; excluded from 'all' and the store):")
 		for _, id := range experiments.ScalingIDs() {
 			title, _ := experiments.ScalingTitle(id)
 			fmt.Printf("  %-3s %s\n", id, title)
@@ -202,8 +200,8 @@ func main() {
 
 	// The scalability family (-scale, or -exp p1/p2/p3) measures wall
 	// clock, so it dispatches outside the deterministic experiment
-	// machinery: no journaling, no result store, no fault injection —
-	// spliced or faulted cells would turn the measurement into fiction.
+	// machinery: no result store, no fault injection — spliced or faulted
+	// cells would turn the measurement into fiction.
 	var scaleIDs []string
 	switch {
 	case *scale:
@@ -212,8 +210,8 @@ func main() {
 		scaleIDs = []string{*exp}
 	}
 	if len(scaleIDs) > 0 {
-		if plan != nil || *storePath != "" || *journalPath != "" || *resumePath != "" {
-			fatal(fmt.Errorf("the scaling family measures wall clock; it cannot combine with -inject, -store, -journal, or -resume"))
+		if plan != nil || *storePath != "" {
+			fatal(fmt.Errorf("the scaling family measures wall clock; it cannot combine with -inject or -store"))
 		}
 		p := experiments.Params{InstBudget: *insts, Warmup: *warmup, Ctx: ctx}
 		if *bench != "" {
@@ -273,45 +271,11 @@ func main() {
 	man.Config = retstack.Baseline().Describe()
 	man.ComputeHash()
 
-	// Journal scopes are keyed by the manifest's config hash, so a journal
-	// written under different result-determining parameters replays
-	// nothing — resuming from a stale journal degrades to a fresh run.
-	params.JournalScope = man.ConfigHash
-	if *resumePath != "" {
-		replay, err := sweep.ReadJournal(*resumePath)
-		if err != nil {
-			fatal(err)
-		}
-		params.Replay = replay
-		man.Resume = resumeRecord(*resumePath, replay, man.ConfigHash)
-		if n := len(replay.Runs); n > 0 && replay.Runs[n-1].ConfigHash != man.ConfigHash {
-			fmt.Fprintf(os.Stderr,
-				"rasbench: warning: journal %s was written by a run with different parameters (hash %.12s != %.12s); replaying nothing from it\n",
-				*resumePath, replay.Runs[n-1].ConfigHash, man.ConfigHash)
-		}
-		if *journalPath == "" {
-			*journalPath = *resumePath // keep appending where the last run left off
-		}
-	}
-	var journal *sweep.Journal
-	if *journalPath != "" {
-		journal, err = sweep.OpenJournal(*journalPath)
-		if err != nil {
-			fatal(err)
-		}
-		sinks.Register("journal", journal.Close)
-		if err := journal.Stamp(sweep.RunStamp{
-			Tool: "rasbench", Start: man.Start.Format(time.RFC3339Nano),
-			ConfigHash: man.ConfigHash, Args: os.Args[1:],
-		}); err != nil {
-			fatal(err)
-		}
-		params.Journal = journal
-	}
 	// The result store: lookup-before-simulate keyed by a scope hash over
 	// exactly the result-determining parameters (config, insts, warmup,
-	// workload set). Unlike the journal scope it excludes the experiment
-	// list, so `-exp t3` warms the cells a later `-exp all` reuses.
+	// workload set). Unlike the manifest's config hash it excludes the
+	// experiment list, so `-exp t3` warms the cells a later `-exp all`
+	// reuses — and an interrupted run resumes by rerunning against it.
 	var store *resultstore.Store
 	if *storePath != "" {
 		store, err = resultstore.Open(*storePath)
@@ -417,7 +381,7 @@ func main() {
 		if err != nil {
 			if ctx.Err() != nil {
 				// A signal canceled the sweep mid-experiment. Flush what we
-				// have — journaled cells are already fsynced, and cells that
+				// have — stored cells are already fsynced, and cells that
 				// finished before the cancel have already closed their trace
 				// files — and exit with the conventional SIGINT code. os.Exit
 				// skips defers, so the sink set flushes explicitly here.
@@ -434,8 +398,8 @@ func main() {
 					pprof.StopCPUProfile()
 				}
 				fmt.Fprintln(os.Stderr, "rasbench: interrupted")
-				if *journalPath != "" {
-					fmt.Fprintf(os.Stderr, "rasbench: completed cells are journaled; rerun with -resume %s to continue\n", *journalPath)
+				if store != nil {
+					fmt.Fprintf(os.Stderr, "rasbench: completed cells are in the store; rerun with -store %s to continue\n", store.Dir())
 				}
 				os.Exit(130)
 			}
@@ -474,8 +438,12 @@ func main() {
 
 	if store != nil {
 		s := store.Stats()
-		fmt.Fprintf(os.Stderr, "rasbench: store: %d hits, %d misses, %d puts, %d shared (%s)\n",
+		fmt.Fprintf(os.Stderr, "rasbench: store: %d hits, %d misses, %d puts, %d shared (%s)",
 			s.Hits, s.Misses, s.Puts, s.Shared, store.Dir())
+		if s.DroppedBytes > 0 {
+			fmt.Fprintf(os.Stderr, " (%d torn bytes dropped at open)", s.DroppedBytes)
+		}
+		fmt.Fprintln(os.Stderr)
 		if *storeMaxBytes > 0 {
 			evicted, err := store.Trim(*storeMaxBytes)
 			if err != nil {
@@ -538,22 +506,6 @@ func publishTrace(am *telemetry.AttribMetrics, man *telemetry.Manifest,
 	man.Trace.Events += st.Events
 	man.Trace.Attributed += st.Attributed
 	return st
-}
-
-// resumeRecord builds the manifest's resume provenance: how many journaled
-// cells this run can splice in (those under scopes keyed by its own config
-// hash) and the stamps of every run that fed the journal.
-func resumeRecord(path string, replay sweep.Replay, configHash string) *telemetry.ResumeRecord {
-	rec := &telemetry.ResumeRecord{Journal: path}
-	for scope, cells := range replay.Cells {
-		if strings.HasPrefix(scope, configHash+"/") {
-			rec.CellsReplayed += len(cells)
-		}
-	}
-	for _, r := range replay.Runs {
-		rec.PriorRuns = append(rec.PriorRuns, fmt.Sprintf("%s@%s", r.Tool, r.Start))
-	}
-	return rec
 }
 
 // experimentRecord converts one experiment's timing into manifest form.

@@ -12,13 +12,12 @@ import (
 	"time"
 
 	"retstack/internal/experiments"
-	"retstack/internal/sweep"
 	"retstack/internal/telemetry"
 )
 
 // TestMain lets the test binary impersonate the rasbench CLI: the e2e
 // tests below re-exec themselves with RASBENCH_MAIN=1 so they can run the
-// real main() — signal handling, journal, exit codes and all — as a child
+// real main() — signal handling, result store, exit codes and all — as a child
 // process they are free to kill.
 func TestMain(m *testing.M) {
 	if os.Getenv("RASBENCH_MAIN") == "1" {
@@ -37,16 +36,17 @@ func rasbench(t *testing.T, args ...string) *exec.Cmd {
 
 var e2eArgs = []string{"-exp", "all", "-insts", "60000", "-bench", "go,li"}
 
-// TestKillAndResume is the end-to-end resilience contract: a journaled run
-// killed by SIGINT mid-sweep exits cleanly (code 130, manifest flushed),
-// and a -resume run reassembles output byte-identical to an uninterrupted
-// run while recording the resume provenance in its manifest.
+// TestKillAndResume is the end-to-end resilience contract: a run backed
+// by a result store and killed by SIGINT mid-sweep exits cleanly (code
+// 130, manifest flushed), and rerunning the same command against the same
+// -store reassembles output byte-identical to an uninterrupted run, with
+// the cells the killed run finished counted as store hits in its manifest.
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.jsonl")
+	store := filepath.Join(dir, "store")
 
 	// Reference: one clean, uninterrupted run.
 	clean := rasbench(t, e2eArgs...)
@@ -57,9 +57,9 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	// Interrupted run: serial (so it is still sweeping when the signal
-	// lands), journaling, killed as soon as one cell is on disk.
+	// lands), storing, killed as soon as one cell is on disk.
 	intMan := filepath.Join(dir, "interrupted.json")
-	inter := rasbench(t, append([]string{"-parallel", "1", "-journal", journal, "-manifest-out", intMan}, e2eArgs...)...)
+	inter := rasbench(t, append([]string{"-parallel", "1", "-store", store, "-manifest-out", intMan}, e2eArgs...)...)
 	var interErr bytes.Buffer
 	inter.Stderr = &interErr
 	if err := inter.Start(); err != nil {
@@ -67,12 +67,12 @@ func TestKillAndResume(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if rep, err := sweep.ReadJournal(journal); err == nil && rep.Total() >= 1 {
+		if fi, err := os.Stat(filepath.Join(store, "seg-000001.log")); err == nil && fi.Size() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			inter.Process.Kill()
-			t.Fatal("no cell journaled within 30s")
+			t.Fatal("no cell stored within 30s")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -89,7 +89,7 @@ func TestKillAndResume(t *testing.T) {
 	} else if err != nil {
 		t.Fatalf("interrupted run: %v", err)
 	}
-	// err == nil means the run beat the signal; resume still replays it.
+	// err == nil means the run beat the signal; the rerun still splices.
 	if interrupted {
 		var m telemetry.Manifest
 		b, err := os.ReadFile(intMan)
@@ -104,10 +104,10 @@ func TestKillAndResume(t *testing.T) {
 		}
 	}
 
-	// Resume: journaled cells splice in; output must match the clean run
-	// byte for byte, and the manifest must chain back to the killed run.
+	// Resume: rerun against the same store. Stored cells splice in; the
+	// output must match the clean run byte for byte.
 	resMan := filepath.Join(dir, "resumed.json")
-	resume := rasbench(t, append([]string{"-resume", journal, "-manifest-out", resMan}, e2eArgs...)...)
+	resume := rasbench(t, append([]string{"-store", store, "-manifest-out", resMan}, e2eArgs...)...)
 	var resumeOut, resumeErrB bytes.Buffer
 	resume.Stdout, resume.Stderr = &resumeOut, &resumeErrB
 	if err := resume.Run(); err != nil {
@@ -128,14 +128,11 @@ func TestKillAndResume(t *testing.T) {
 	if m.Status != "completed" {
 		t.Errorf("resumed manifest status = %q, want completed", m.Status)
 	}
-	if m.Resume == nil {
-		t.Fatal("resumed manifest has no resume record")
+	if m.Store == nil {
+		t.Fatal("resumed manifest has no store record")
 	}
-	if m.Resume.CellsReplayed < 1 {
-		t.Errorf("resume record replayed %d cells, want >= 1", m.Resume.CellsReplayed)
-	}
-	if len(m.Resume.PriorRuns) < 1 {
-		t.Errorf("resume record chains to %d prior runs, want >= 1", len(m.Resume.PriorRuns))
+	if m.Store.Hits < 1 {
+		t.Errorf("resumed run hit %d stored cells, want >= 1", m.Store.Hits)
 	}
 }
 

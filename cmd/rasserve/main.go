@@ -131,8 +131,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rasserve:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "rasserve: store %s (%d cached cells); listening on http://%s\n",
-		store.Dir(), store.Len(), ln.Addr())
+	fmt.Fprintf(os.Stderr, "rasserve: store %s (%d cached cells", store.Dir(), store.Len())
+	if dropped := store.Stats().DroppedBytes; dropped > 0 {
+		fmt.Fprintf(os.Stderr, ", %d torn bytes dropped", dropped)
+	}
+	fmt.Fprintf(os.Stderr, "); listening on http://%s\n", ln.Addr())
 	hs := &http.Server{Handler: srv.handler()}
 	go func() {
 		<-ctx.Done()

@@ -7,16 +7,13 @@
 // finished ones serve from the log alone; the unfinished ones are
 // re-adopted and requeued, carrying an attempt counter across restarts.
 //
-// The on-disk format is the content-addressed result store's proven
-// segment idiom (see internal/resultstore): append-only JSONL segment
-// files (seg-000001.log, seg-000002.log, …), each line a record wrapped
-// with the crc32 of its payload, fsynced before Append returns. A crash
-// mid-append leaves at worst one truncated trailing line; Open keeps the
-// valid prefix and truncates the active segment's torn tail so later
-// appends stay parsable. Replay folds records in order with
-// latest-record-wins semantics per campaign field, so a re-logged state
-// or table simply supersedes the previous one — the self-healing path
-// for requeued campaigns, which re-log their tables on every attempt.
+// On disk the log is an internal/seglog segment log, the same one under
+// the result store: each record is one checksummed frame, fsynced before
+// Append returns, and Open keeps every segment's valid prefix after a
+// crash. Replay folds records in order with latest-record-wins semantics
+// per campaign field, so a re-logged state or table simply supersedes the
+// previous one — the self-healing path for requeued campaigns, which
+// re-log their tables on every attempt.
 //
 // The log is a queue journal, not a cache: nothing is ever rewritten in
 // place, and compaction is simply deleting the directory of a server
@@ -25,25 +22,12 @@
 package campaignlog
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
-)
 
-// DefaultMaxSegmentBytes is the rotation threshold for the active segment.
-const DefaultMaxSegmentBytes = 4 << 20
-
-const (
-	segPrefix = "seg-"
-	segSuffix = ".log"
+	"retstack/internal/seglog"
 )
 
 // Record types. A campaign's life is a submit, then any number of state
@@ -102,13 +86,6 @@ type Record struct {
 	Holes int    `json:"holes,omitempty"`
 }
 
-// line is the segment framing: the record rides as an opaque payload
-// under its own checksum, exactly like a result-store record.
-type line struct {
-	CRC     uint32          `json:"crc"`
-	Payload json.RawMessage `json:"payload"`
-}
-
 // Campaign is one campaign's replayed state: the fold of every record
 // logged for its ID, in append order.
 type Campaign struct {
@@ -141,7 +118,7 @@ func (c *Campaign) Terminal() bool { return Terminal(c.Status) }
 type Stats struct {
 	// Records is the number of valid records replayed across segments.
 	Records uint64
-	// DroppedBytes is the trailing corruption Open discarded.
+	// DroppedBytes is the torn or corrupt data Open discarded.
 	DroppedBytes uint64
 	// Appends counts records appended by this process.
 	Appends uint64
@@ -149,65 +126,33 @@ type Stats struct {
 
 // Log is an open campaign log. Safe for concurrent use.
 type Log struct {
-	dir    string
-	maxSeg int64
-
-	mu      sync.Mutex
-	f       *os.File
-	seg     int
-	size    int64
-	appends uint64
-	closed  bool
+	log     *seglog.Log
+	appends atomic.Uint64
 
 	// Boot-time replay state, frozen at Open: the server consumes it
 	// once to rebuild its campaign map, then appends only.
 	campaigns map[string]*Campaign
 	order     []string
 	records   uint64
-	dropped   uint64
 }
 
 // Open opens (creating if needed) the campaign log rooted at dir,
-// replaying every segment's valid prefix. A torn tail on the active
-// segment is truncated away so subsequent appends stay parsable; torn
-// tails on rotated segments just drop the affected records.
+// replaying every segment's valid prefix (see seglog.Open). A frame whose
+// payload is not a campaign record is skipped.
 func Open(dir string) (*Log, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	l := &Log{campaigns: map[string]*Campaign{}}
+	log, err := seglog.Open(dir, func(payload []byte) {
+		var r Record
+		if json.Unmarshal(payload, &r) != nil || r.Type == "" || r.ID == "" {
+			return
+		}
+		l.fold(r)
+		l.records++
+	})
+	if err != nil {
 		return nil, fmt.Errorf("campaignlog: %w", err)
 	}
-	l := &Log{
-		dir:       dir,
-		maxSeg:    DefaultMaxSegmentBytes,
-		campaigns: map[string]*Campaign{},
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	for i, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, segName(seg)))
-		if err != nil {
-			return nil, fmt.Errorf("campaignlog: %w", err)
-		}
-		recs, consumed := parseSegment(data)
-		for _, r := range recs {
-			l.fold(r)
-		}
-		l.records += uint64(len(recs))
-		l.dropped += uint64(len(data) - consumed)
-		if i == len(segs)-1 && consumed < len(data) {
-			if err := os.Truncate(filepath.Join(dir, segName(seg)), int64(consumed)); err != nil {
-				return nil, fmt.Errorf("campaignlog: truncate torn tail: %w", err)
-			}
-		}
-	}
-	active := 1
-	if len(segs) > 0 {
-		active = segs[len(segs)-1]
-	}
-	if err := l.openSegment(active); err != nil {
-		return nil, err
-	}
+	l.log = log
 	return l, nil
 }
 
@@ -246,15 +191,13 @@ func (l *Log) fold(r Record) {
 }
 
 // Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
+func (l *Log) Dir() string { return l.log.Dir() }
 
 // Campaigns returns the boot-time replay in submission order. The slice
 // and campaigns are the replay state itself — the caller owns them after
 // Open and must not share them across goroutines with Append (Append
 // does not update them).
 func (l *Log) Campaigns() []*Campaign {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := make([]*Campaign, 0, len(l.order))
 	for _, id := range l.order {
 		out = append(out, l.campaigns[id])
@@ -264,17 +207,11 @@ func (l *Log) Campaigns() []*Campaign {
 
 // Stats snapshots the recovery and append counters.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Stats{Records: l.records, DroppedBytes: l.dropped, Appends: l.appends}
+	return Stats{Records: l.records, DroppedBytes: l.log.DroppedBytes(), Appends: l.appends.Load()}
 }
 
 // SetMaxSegmentBytes overrides the rotation threshold (testing knob).
-func (l *Log) SetMaxSegmentBytes(n int64) {
-	if n > 0 {
-		l.maxSeg = n
-	}
-}
+func (l *Log) SetMaxSegmentBytes(n int64) { l.log.SetMaxSegmentBytes(n) }
 
 // Append writes one record and fsyncs it before returning — a record
 // Append acknowledged survives any crash. An empty Time is filled with
@@ -290,30 +227,10 @@ func (l *Log) Append(r Record) error {
 	if err != nil {
 		return fmt.Errorf("campaignlog: %w", err)
 	}
-	data, err := json.Marshal(line{CRC: crc32.ChecksumIEEE(payload), Payload: payload})
-	if err != nil {
+	if err := l.log.Append(payload); err != nil {
 		return fmt.Errorf("campaignlog: %w", err)
 	}
-	data = append(data, '\n')
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("campaignlog: log closed")
-	}
-	if l.size > 0 && l.size+int64(len(data)) > l.maxSeg {
-		if err := l.openSegment(l.seg + 1); err != nil {
-			return err
-		}
-	}
-	if _, err := l.f.Write(data); err != nil {
-		return fmt.Errorf("campaignlog: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("campaignlog: %w", err)
-	}
-	l.size += int64(len(data))
-	l.appends++
+	l.appends.Add(1)
 	return nil
 }
 
@@ -337,96 +254,5 @@ func (l *Log) Done(id, status, errMsg string) error {
 	return l.Append(Record{Type: TypeDone, ID: id, Status: status, Error: errMsg})
 }
 
-// Close closes the active segment. Further Appends fail.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	return l.f.Close()
-}
-
-// openSegment makes seg the active segment, opened for append. Caller
-// holds mu (or is Open, pre-publication).
-func (l *Log) openSegment(seg int) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("campaignlog: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("campaignlog: %w", err)
-	}
-	if l.f != nil {
-		l.f.Close()
-	}
-	l.f, l.seg, l.size = f, seg, fi.Size()
-	return nil
-}
-
-func segName(seg int) string { return fmt.Sprintf("%s%06d%s", segPrefix, seg, segSuffix) }
-
-// listSegments returns the log's segment numbers in ascending order.
-func listSegments(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("campaignlog: %w", err)
-	}
-	var segs []int
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix))
-		if err != nil || n <= 0 {
-			continue
-		}
-		segs = append(segs, n)
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// parseSegment parses one segment's bytes, tolerating a truncated or
-// corrupt tail: parsing stops at the first malformed line — no trailing
-// newline, invalid JSON, a non-record object, or a CRC mismatch — and
-// the valid prefix is kept. The second result is that prefix's length in
-// bytes. (The result store's recovery contract, applied to campaign
-// records.)
-func parseSegment(data []byte) ([]Record, int) {
-	var recs []Record
-	consumed := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // a crash truncated this line
-		}
-		raw := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(raw)) == 0 {
-			consumed += nl + 1
-			continue
-		}
-		var ln line
-		if err := json.Unmarshal(raw, &ln); err != nil {
-			break
-		}
-		if ln.Payload == nil || crc32.ChecksumIEEE(ln.Payload) != ln.CRC {
-			break
-		}
-		var rec Record
-		if err := json.Unmarshal(ln.Payload, &rec); err != nil {
-			break
-		}
-		if rec.Type == "" || rec.ID == "" {
-			break
-		}
-		recs = append(recs, rec)
-		consumed += nl + 1
-	}
-	return recs, consumed
-}
+// Close closes the log. Further Appends fail.
+func (l *Log) Close() error { return l.log.Close() }

@@ -1,6 +1,7 @@
 package campaignlog
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -126,9 +127,10 @@ func TestLatestRecordWins(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated: a record cut mid-write is dropped on open, the
-// active segment is truncated to the valid prefix, and the log stays
-// appendable — the next append survives the next open.
+// TestTornTailTruncated: the campaign log's recovery accounting over
+// seglog's torn-tail handling — Records counts the folded records,
+// DroppedBytes the torn bytes rasserve reports at boot, and the fold
+// keeps the campaign's last good state.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l := open(t, dir)
@@ -136,37 +138,28 @@ func TestTornTailTruncated(t *testing.T) {
 	l.Done("c1", "completed", "")
 	l.Close()
 
-	path := filepath.Join(dir, segName(1))
-	data, err := os.ReadFile(path)
+	torn := `{"crc":123,"payload":{"type":"done","id":"c1","st`
+	f, err := os.OpenFile(filepath.Join(dir, "seg-000001.log"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append(append([]byte{}, data...), []byte(`{"crc":123,"payload":{"type":"done","id":"c1","st`)...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	if _, err := f.WriteString(torn); err != nil {
 		t.Fatal(err)
 	}
+	f.Close()
 
 	l2 := open(t, dir)
-	if st := l2.Stats(); st.Records != 2 || st.DroppedBytes == 0 {
-		t.Fatalf("recovery stats = %+v, want 2 records and dropped bytes", st)
+	if st := l2.Stats(); st.Records != 2 || st.DroppedBytes != uint64(len(torn)) {
+		t.Fatalf("recovery stats = %+v, want 2 records and %d dropped bytes", st, len(torn))
 	}
 	if c := l2.Campaigns()[0]; c.Status != "completed" {
 		t.Errorf("replay after torn tail = %q", c.Status)
 	}
-	if err := l2.State("c1", "queued", 2); err != nil {
-		t.Fatalf("append after truncation: %v", err)
-	}
-	l2.Close()
-
-	l3 := open(t, dir)
-	if st := l3.Stats(); st.Records != 3 || st.DroppedBytes != 0 {
-		t.Fatalf("post-heal stats = %+v, want 3 records, 0 dropped", st)
-	}
 }
 
-// TestCorruptRecordStopsReplay: a CRC mismatch mid-segment drops that
-// record and everything after it in the segment — the prefix contract —
-// without failing the open.
+// TestCorruptRecordStopsReplay: a record whose checksum no longer matches
+// ends replay, so nothing after it folds into a campaign, and the lost
+// bytes are reported.
 func TestCorruptRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	l := open(t, dir)
@@ -174,11 +167,14 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	l.Done("c1", "completed", "")
 	l.Close()
 
-	path := filepath.Join(dir, segName(1))
+	path := filepath.Join(dir, "seg-000001.log")
 	data, _ := os.ReadFile(path)
 	lines := strings.SplitAfter(string(data), "\n")
 	// Flip a payload byte in the first record; its CRC no longer matches.
 	corrupted := strings.Replace(lines[0], `"type":"submit"`, `"type":"suXmit"`, 1) + lines[1]
+	if corrupted == string(data) {
+		t.Fatal("test setup: submit record not found")
+	}
 	if err := os.WriteFile(path, []byte(corrupted), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -186,13 +182,13 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	if len(l2.Campaigns()) != 0 {
 		t.Errorf("corrupt-prefix segment replayed campaigns: %+v", l2.Campaigns())
 	}
-	if st := l2.Stats(); st.DroppedBytes == 0 {
-		t.Errorf("corruption not reported: %+v", st)
+	if st := l2.Stats(); st.Records != 0 || st.DroppedBytes != uint64(len(corrupted)) {
+		t.Errorf("recovery stats = %+v, want 0 records and %d dropped bytes", st, len(corrupted))
 	}
 }
 
 // TestRotation: appends past the threshold rotate to a new segment, and
-// replay spans all segments.
+// replay folds records from every segment.
 func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	l := open(t, dir)
@@ -204,7 +200,7 @@ func TestRotation(t *testing.T) {
 		}
 	}
 	l.Close()
-	segs, err := listSegments(dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +210,9 @@ func TestRotation(t *testing.T) {
 	l2 := open(t, dir)
 	if st := l2.Stats(); st.Records != 20 {
 		t.Errorf("replayed %d records across %d segments, want 20", st.Records, len(segs))
+	}
+	if cs := l2.Campaigns(); len(cs) != 3 || cs[0].Attempt != 18 || cs[2].Attempt != 17 {
+		t.Errorf("replayed campaigns = %+v, want c, cx, cxx at their latest attempts", cs)
 	}
 }
 
@@ -226,5 +225,43 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if err := l.Append(Record{ID: "c1"}); err == nil {
 		t.Error("append without type succeeded")
+	}
+}
+
+// TestParentLogReplays pins the on-disk format across the move onto
+// seglog: testdata/parent-log holds a segment rasserve wrote before that
+// move (one t3 campaign, submitted to completion). It must replay to the
+// same campaign without touching the file.
+func TestParentLogReplays(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent-log", "seg-000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-000001.log")
+	if err := os.WriteFile(seg, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := open(t, dir)
+	if st := l.Stats(); st.Records != 4 || st.DroppedBytes != 0 {
+		t.Errorf("stats = %+v, want 4 records, 0 dropped", st)
+	}
+	cs := l.Campaigns()
+	if len(cs) != 1 {
+		t.Fatalf("replayed %d campaigns, want 1", len(cs))
+	}
+	c := cs[0]
+	if c.ID != "c1" || c.Status != "completed" || c.Attempt != 1 || c.Error != "" {
+		t.Errorf("campaign = %+v, want c1 completed on attempt 1", c)
+	}
+	if string(c.Spec) != `{"exps":["t3"],"insts":5000,"workloads":["go"]}` {
+		t.Errorf("spec = %s", c.Spec)
+	}
+	if len(c.Tables) != 1 || !strings.HasPrefix(c.Tables["t3"], "== t3: Table 3") {
+		t.Errorf("tables = %q, want the one t3 table", c.Tables)
+	}
+	l.Close()
+	if got, _ := os.ReadFile(seg); !bytes.Equal(got, golden) {
+		t.Error("replaying the parent log modified it")
 	}
 }

@@ -5,18 +5,20 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// FuzzLog feeds arbitrary bytes through the segment parser and then
-// through a full Open/Append cycle: whatever a crash, a bit flip, or a
-// hostile file leaves in a segment, recovery must (a) never panic, (b)
-// keep only CRC-valid records, (c) report a consumed prefix that is
-// actually parsable, and (d) leave the log appendable — an Append after
-// recovery must survive the next Open. (The FuzzSegment contract from
-// the result store, applied to the campaign queue.) Seeds are generated
-// from a real log so the interesting shapes — valid lifecycles, torn
-// tails, CRC flips, non-record JSON — are always in the corpus.
+// FuzzLog feeds arbitrary bytes to Open as a campaign-log segment and
+// then runs a Submit/Open cycle over the result. Frame parsing is
+// seglog's (see its FuzzParse); this checks the campaign fold on top of
+// it: whatever a crash, a bit flip, or a hostile file leaves in a
+// segment, Open must (a) never panic or fail, (b) fold only records it
+// counted, (c) replay the same campaigns again after cutting the damage
+// away, and (d) leave the log appendable — a Submit after recovery must
+// survive the next Open. Seeds are generated from a real log so the
+// interesting shapes — valid lifecycles, torn tails, CRC flips,
+// non-record JSON — are always in the corpus.
 func FuzzLog(f *testing.F) {
 	seedDir := f.TempDir()
 	l, err := Open(seedDir)
@@ -28,7 +30,7 @@ func FuzzLog(f *testing.F) {
 	l.Table("c1", "t3", "== t3 ==\nrow\n", 0)
 	l.Done("c1", "completed", "")
 	l.Close()
-	valid, err := os.ReadFile(filepath.Join(seedDir, segName(1)))
+	valid, err := os.ReadFile(filepath.Join(seedDir, "seg-000001.log"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,40 +44,47 @@ func FuzzLog(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, consumed := parseSegment(data)
-		if consumed < 0 || consumed > len(data) {
-			t.Fatalf("consumed %d outside [0, %d]", consumed, len(data))
-		}
-		// The valid prefix must re-parse to the same records: recovery is
-		// idempotent.
-		recs2, consumed2 := parseSegment(data[:consumed])
-		if consumed2 != consumed || len(recs2) != len(recs) {
-			t.Fatalf("prefix re-parse diverged: %d/%d records, %d/%d bytes",
-				len(recs2), len(recs), consumed2, consumed)
-		}
-
-		// A log opened over these bytes must recover and stay usable.
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "seg-000001.log"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l, err := Open(dir)
 		if err != nil {
 			t.Fatalf("Open over fuzzed segment: %v", err)
 		}
+		defer l.Close()
+		st := l.Stats()
+		before := map[string]*Campaign{}
+		for _, c := range l.Campaigns() {
+			if c.ID == "" || c.Tables == nil || c.Holes == nil {
+				t.Fatalf("fold produced a malformed campaign: %+v", c)
+			}
+			before[c.ID] = c
+		}
+		if uint64(len(before)) > st.Records || st.DroppedBytes > uint64(len(data)) {
+			t.Fatalf("Open folded %d campaigns from %d records, dropping %d of %d bytes",
+				len(before), st.Records, st.DroppedBytes, len(data))
+		}
 		if err := l.Submit("fz", json.RawMessage(`{}`), "h", "s"); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		l.Close()
+
 		l2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("re-Open after recovery+append: %v", err)
 		}
 		defer l2.Close()
+		if st2 := l2.Stats(); st2.Records != st.Records+1 || st2.DroppedBytes != 0 {
+			t.Fatalf("re-Open replayed %d records dropping %d bytes, want %d and 0",
+				st2.Records, st2.DroppedBytes, st.Records+1)
+		}
 		var found *Campaign
 		for _, c := range l2.Campaigns() {
 			if c.ID == "fz" {
 				found = c
+			} else if !reflect.DeepEqual(c, before[c.ID]) {
+				t.Fatalf("campaign %q replayed as %+v, first recovery gave %+v", c.ID, c, before[c.ID])
 			}
 		}
 		if found == nil || !bytes.Equal(found.Spec, []byte(`{}`)) {

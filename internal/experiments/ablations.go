@@ -455,7 +455,7 @@ func runA7(p Params) (*Result, error) {
 	// through the resilient core directly: one cell per (workload, sharing)
 	// pair, in assembly order, both threads (and both sharing cells)
 	// running one shared prebuilt image.
-	ims, err := p.imagesFor(len(ws)*len(sharing), func(i int) workloads.Workload { return ws[i/len(sharing)] })
+	ims, err := buildImages(p, ws)
 	if err != nil {
 		return nil, err
 	}

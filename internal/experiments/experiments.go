@@ -87,7 +87,7 @@ type Params struct {
 
 	// Resilience knobs (the rasbench flags of the same names). Zero values
 	// are the legacy behavior: background context, abort on the first
-	// failing cell, no watchdog, no journal, no replay, no injection.
+	// failing cell, no watchdog, no store, no injection.
 
 	// Ctx cancels the sweep between cells: once done, no new cells are
 	// claimed, in-flight cells drain, and Run returns Ctx.Err().
@@ -109,10 +109,11 @@ type Params struct {
 	// Store, when non-nil, is the content-addressed result cache (the
 	// rasbench -store flag, rasserve's backing store): before a cell
 	// simulates, the store is probed under CellKey(StoreScope, exp, cell)
-	// and a hit is spliced in like a journal replay — no execution, no
+	// and a hit is spliced in around the sweep engine — no execution, no
 	// monitor callbacks. Misses simulate inside the store's singleflight
 	// (concurrent identical cells collapse into one simulation) and the
-	// result is appended crash-safely before the cell counts as done.
+	// result is appended crash-safely before the cell counts as done, so
+	// rerunning an interrupted run against the same store resumes it.
 	// Results are byte-identical with the store on, off, cold, or warm
 	// (pinned by TestStoreMatchesUncached); fault injection is refused
 	// because injected cells produce results a clean run must never see.
@@ -133,16 +134,9 @@ type Params struct {
 	// to flip into compute-without-cache degraded mode. Called from
 	// worker goroutines; must be concurrency-safe.
 	OnStoreFault func(error)
-	// Journal, when non-nil, records every completed cell crash-safely
-	// under scope JournalScope+"/"+<experiment id> before the cell counts
-	// as done. Replay holds journaled cells from a previous run to splice
-	// in instead of executing (the -resume flag).
-	Journal      *sweep.Journal
-	JournalScope string
-	Replay       sweep.Replay
 
 	// expID is the experiment id being run, set by Run; it labels the
-	// sweep's pprof profiles (see doCell), journal scopes, and injection
+	// sweep's pprof profiles (see doCell), store keys, and injection
 	// matches.
 	expID string
 	// holes, set by Run, collects the skip-policy failure descriptions the
@@ -291,8 +285,8 @@ type simCell struct {
 // cellOut is one sweep cell's outcome: the simulation statistics (plus,
 // for t2, the functional characterization) — or nothing, the hole a cell
 // skipped under -on-cell-error=skip leaves behind. It is also the unit
-// the crash-safe journal records, so every field must survive a JSON
-// round trip exactly; pipeline.Stats and core.Stats are all-integer
+// the result store records, so every field must survive a JSON round
+// trip exactly; pipeline.Stats and core.Stats are all-integer
 // structs, which encoding/json preserves digit-for-digit.
 type cellOut struct {
 	Sim     *pipeline.Stats  `json:"stats,omitempty"`
@@ -305,7 +299,7 @@ func (c cellOut) Stats() *pipeline.Stats { return c.Sim }
 
 // workloadProfile is the functional characterization Table 2 derives from
 // the emulator: the counters the table renders, extracted in-cell so a
-// journaled t2 cell replays without re-running the machine.
+// stored t2 cell splices in without re-running the machine.
 type workloadProfile struct {
 	Insts    uint64 `json:"insts"`
 	Calls    uint64 `json:"calls"`
@@ -319,49 +313,30 @@ type workloadProfile struct {
 // top of the engine's determinism contract it adds, per Params:
 //
 //   - cancellation: the sweep stops claiming cells once p.Ctx is done;
-//   - resume: cells journaled by a previous run are spliced in from
-//     p.Replay instead of executing (no execution, no monitor callbacks);
-//   - crash-safety: each completed cell is fsynced to p.Journal before it
-//     counts as done, keyed by scope so a stale journal cannot poison a
-//     run with different parameters;
 //   - fault injection: p.Inject's harness faults fire at the top of each
 //     attempt, so panics/hangs/transients hit exactly the chosen cells;
 //   - failure policy: retry with backoff, or skip — recording the failure
-//     as an explicit hole on the Result.
-//   - caching: with p.Store set, cells resident in the content-addressed
-//     store splice in exactly like replayed cells, and misses simulate
-//     under the store's singleflight before being persisted.
+//     as an explicit hole on the Result;
+//   - caching and resume: with p.Store set, cells resident in the
+//     content-addressed store splice in without executing (no monitor
+//     callbacks), and misses simulate under the store's singleflight and
+//     are fsynced before they count as done — so a rerun of an
+//     interrupted sweep picks up every cell that finished.
 func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (cellOut, error)) ([]cellOut, error) {
 	if p.Store != nil && p.Inject != nil {
 		return nil, fmt.Errorf("%s: the result store cannot be combined with fault injection: injected cells would poison the cache", p.expID)
 	}
-	scope := p.scope()
-	replayed := p.Replay.Scope(scope)
-	spliced := make(map[int]cellOut, len(replayed))
-	for i, raw := range replayed {
-		if i >= n {
-			continue
-		}
-		var c cellOut
-		if err := json.Unmarshal(raw, &c); err != nil {
-			return nil, fmt.Errorf("resume %s cell %d: %w", scope, i, err)
-		}
-		spliced[i] = c
-	}
-	// Lookup-before-simulate: probe the store for every cell the journal
-	// didn't already splice. Hits splice in the same way — no execution,
-	// no monitor callbacks — which is what lets a warm rerun assert zero
-	// simulations. An undecodable payload (schema drift across versions)
-	// degrades to a miss; the re-simulated result re-Puts and heals the
-	// store, since the latest record for a key wins.
+	// Lookup-before-simulate: hits splice in around the engine — no
+	// execution, no monitor callbacks — which is what lets a warm rerun
+	// assert zero simulations. An undecodable payload (schema drift
+	// across versions) degrades to a miss; the re-simulated result
+	// re-Puts and heals the store, since the latest record for a key wins.
 	var keys []string
+	spliced := map[int]cellOut{}
 	if p.Store != nil {
 		keys = make([]string, n)
 		for i := 0; i < n; i++ {
 			keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
-			if _, ok := spliced[i]; ok {
-				continue
-			}
 			raw, _, ok := p.Store.Get(keys[i])
 			if !ok {
 				continue
@@ -385,9 +360,6 @@ func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (ce
 	}
 	if len(spliced) > 0 {
 		pol.Skip = func(cell int) bool { _, ok := spliced[cell]; return ok }
-	}
-	if p.Journal != nil {
-		pol.OnSuccess = func(cell int, v any) error { return p.Journal.Append(scope, cell, v) }
 	}
 	out, fails, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), n, p.Monitor, pol,
 		func(ctx context.Context, worker, i int) (cellOut, error) {
@@ -475,7 +447,11 @@ func (p Params) storeCell(ctx context.Context, key string, cell int, body func()
 // pipeline.Recycler so consecutive cells on that worker reuse the big
 // simulator allocations.
 func runSims(p Params, cells []simCell) ([]cellOut, error) {
-	ims, err := p.imagesFor(len(cells), func(i int) workloads.Workload { return cells[i].w })
+	ws := make([]workloads.Workload, len(cells))
+	for i, c := range cells {
+		ws[i] = c.w
+	}
+	ims, err := buildImages(p, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -503,12 +479,6 @@ func (p Params) ctx() context.Context {
 	return context.Background()
 }
 
-// scope is the journal key for this experiment's cells: the caller's
-// scope prefix (rasbench passes the manifest config hash, so only a run
-// with identical result-determining parameters replays) plus the
-// experiment id (cell indices restart at 0 per experiment).
-func (p Params) scope() string { return p.JournalScope + "/" + p.expID }
-
 // doCell runs one sweep cell's body under pprof labels naming the
 // experiment and cell, so CPU/goroutine profiles of a sweep (rasbench
 // -pprof, the live telemetry endpoint) attribute samples to cells.
@@ -516,20 +486,6 @@ func (p Params) doCell(ctx context.Context, cell int, fn func()) {
 	pprof.Do(ctx,
 		pprof.Labels("experiment", p.expID, "cell", strconv.Itoa(cell)),
 		func(context.Context) { fn() })
-}
-
-// imagesFor builds the images a sweep's non-replayed cells need, where
-// workload(i) names cell i's workload. On resume, workloads whose every
-// cell replays from the journal are never rebuilt.
-func (p Params) imagesFor(n int, workload func(i int) workloads.Workload) (map[string]*program.Image, error) {
-	replayed := p.Replay.Scope(p.scope())
-	need := make([]workloads.Workload, 0, n)
-	for i := 0; i < n; i++ {
-		if _, ok := replayed[i]; !ok {
-			need = append(need, workload(i))
-		}
-	}
-	return buildImages(p, need)
 }
 
 // buildImages is the sweep's pre-warm phase: it builds each distinct

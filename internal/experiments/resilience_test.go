@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -26,87 +24,6 @@ func mustPlan(t *testing.T, spec string, seed uint64) *faultinject.Plan {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestResumeReplaysJournaledCells is the crash-safe-resume contract: a run
-// that journals every cell can be reassembled byte-identically from the
-// journal alone. The resumed run injects an always-firing panic into every
-// cell, so it fails loudly if any cell actually executes instead of
-// replaying.
-func TestResumeReplaysJournaledCells(t *testing.T) {
-	clean, err := Run("t3", resilParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := sweep.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := resilParams()
-	pj.Journal, pj.JournalScope = j, "testhash"
-	if _, err := Run("t3", pj); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := sweep.ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Total(); got != 8 {
-		t.Fatalf("journal holds %d cells, want 8", got)
-	}
-
-	var spec []string
-	for cell := 0; cell < 8; cell++ {
-		spec = append(spec, fmt.Sprintf("panic:%dx99", cell))
-	}
-	pr := resilParams()
-	pr.Replay, pr.JournalScope = rep, "testhash"
-	pr.Inject = mustPlan(t, strings.Join(spec, ","), 0)
-	resumed, err := Run("t3", pr)
-	if err != nil {
-		t.Fatalf("resume executed a cell instead of replaying: %v", err)
-	}
-	if resumed.String() != clean.String() {
-		t.Errorf("resumed output differs from a fresh run:\n--- fresh ---\n%s--- resumed ---\n%s",
-			clean, resumed)
-	}
-}
-
-// TestStaleJournalIsIgnored: a journal written under a different scope
-// (i.e. different result-determining parameters) must replay nothing.
-func TestStaleJournalIsIgnored(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := sweep.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := resilParams()
-	pj.Journal, pj.JournalScope = j, "oldhash"
-	clean, err := Run("t3", pj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	rep, err := sweep.ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := resilParams()
-	pr.Replay, pr.JournalScope = rep, "newhash"
-	res, err := Run("t3", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.String() != clean.String() {
-		t.Error("fresh run under a new scope does not match (determinism broken)")
-	}
 }
 
 // TestRetryOutlastsBoundedTransient: a fault that fails the first two
@@ -238,39 +155,5 @@ func TestCorruptionAbsorbedInSweep(t *testing.T) {
 	hl, _ := hurt.Get("hit", "li", "full")
 	if cl != hl {
 		t.Errorf("uninjected cell changed: %.6f vs %.6f", cl, hl)
-	}
-}
-
-// TestT2ResumeRoundTrips: t2's journaled cells carry both the simulation
-// stats and the functional profile, so a resumed Table 2 is byte-identical.
-func TestT2ResumeRoundTrips(t *testing.T) {
-	clean, err := Run("t2", resilParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := sweep.OpenJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := resilParams()
-	pj.Journal, pj.JournalScope = j, "h"
-	if _, err := Run("t2", pj); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	rep, err := sweep.ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := resilParams()
-	pr.Replay, pr.JournalScope = rep, "h"
-	pr.Inject = mustPlan(t, "panic:0x99,panic:1x99", 0)
-	resumed, err := Run("t2", pr)
-	if err != nil {
-		t.Fatalf("t2 resume executed a cell: %v", err)
-	}
-	if resumed.String() != clean.String() {
-		t.Errorf("t2 resumed output differs:\n--- fresh ---\n%s--- resumed ---\n%s", clean, resumed)
 	}
 }

@@ -5,7 +5,7 @@
 // Unlike t1–t4/f1–f5/a1–a8, the p-family's numbers are wall-clock
 // measurements — they change run to run and machine to machine — so the
 // family deliberately lives outside the runners map: it is never part of
-// `-exp all`, never journaled, and never cached in the result store
+// `-exp all` and never cached in the result store
 // (which would poison byte-identical CI diffs and content-addressed
 // records with timing noise). rasbench dispatches it explicitly via
 // -scale or -exp p1/p2/p3. The one deterministic artifact the family does
@@ -43,7 +43,7 @@ var scalingTitles = map[string]string{
 
 // ScalingIDs lists the scaling family's experiment ids in presentation
 // order. These ids are not in IDs(): their numbers are timing-dependent,
-// so they are excluded from -exp all, journaling, and the result store.
+// so they are excluded from -exp all and the result store.
 func ScalingIDs() []string {
 	ids := make([]string, len(scalingIDs))
 	copy(ids, scalingIDs)
@@ -176,10 +176,10 @@ func fingerprintResult(res *Result) string {
 // MeasureScaling sweeps experiment target once per level in levels (nil
 // selects DefaultScalingLevels), measuring wall clock, throughput,
 // utilization, per-cell latency quantiles, per-worker busy/wait shares,
-// and the per-level result fingerprint. p's resilience and store knobs
-// are ignored for the measured sweeps (journaling or cache hits would
-// splice cells in without executing them, turning the measurement into
-// fiction); its budget, warmup, and workload-set knobs apply.
+// and the per-level result fingerprint. p's store is ignored for the
+// measured sweeps (cache hits would splice cells in without executing
+// them, turning the measurement into fiction); its budget, warmup, and
+// workload-set knobs apply.
 func MeasureScaling(p Params, target string, levels []int) (*ScalingReport, error) {
 	if IsScalingID(target) {
 		return nil, fmt.Errorf("experiments: scaling target %q is itself a scaling id", target)
@@ -208,7 +208,6 @@ func MeasureScaling(p Params, target string, levels []int) (*ScalingReport, erro
 		// Strip anything that would splice cells in without executing
 		// them — a measured sweep must simulate every cell.
 		q.Store, q.StoreScope = nil, ""
-		q.Journal, q.Replay = nil, sweep.Replay{}
 		timing := sweep.NewTiming()
 		q.Monitor = sweep.Monitors(p.Monitor, timing)
 		// An experiment may sweep more than once; merge worker stats by
@@ -328,7 +327,7 @@ func RenderScaling(id string, rep *ScalingReport) (*Result, error) {
 		res.Tables = []*stats.Table{t}
 		res.Notes = []string{
 			"speedup is serial wall clock over this level's wall clock; numbers are wall-clock measurements and vary run to run",
-			"the family is excluded from -exp all, journaling, and the result store for exactly that reason",
+			"the family is excluded from -exp all and the result store for exactly that reason",
 		}
 	case "p2":
 		t := stats.NewTable(fmt.Sprintf("Per-cell latency and straggler tail (target %s)", rep.Target),

@@ -19,8 +19,8 @@ func TestScalingIDs(t *testing.T) {
 			t.Errorf("ScalingTitle(%q) = %q, %v", id, title, ok)
 		}
 		// The scaling family is deliberately outside the runners map: its
-		// results are timing-dependent, so -exp all, journaling, and the
-		// result store must never see it.
+		// results are timing-dependent, so -exp all and the result store
+		// must never see it.
 		if _, err := Run(id, Params{InstBudget: 1000}); err == nil {
 			t.Errorf("Run(%q) succeeded, want unknown-experiment error", id)
 		}

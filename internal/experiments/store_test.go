@@ -45,51 +45,63 @@ func (m *countingMonitor) CellDone(cell, worker int, d time.Duration, err error)
 // TestStoreMatchesUncached is the byte-identity pin for the result store,
 // the same contract the -no-blocks/-no-predecode A/B flags carry: an
 // uncached run, a cold cached run, and a warm run against a reopened
-// store must render identical tables.
+// store must render identical tables, and the warm run must start no
+// cell in the engine. This warm half is also the resume contract: an
+// interrupted run resumes by rerunning against the same store. t2 rides
+// along because its cells carry the functional profile as well as the
+// simulation stats, and both must round-trip through a stored record.
 func TestStoreMatchesUncached(t *testing.T) {
-	uncached, err := Run("t3", storeParams(nil, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		exp   string
+		cells uint64
+	}{{"t3", 8}, {"t2", 2}} {
+		t.Run(tc.exp, func(t *testing.T) {
+			uncached, err := Run(tc.exp, storeParams(nil, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	dir := t.TempDir()
-	cold := openStore(t, dir)
-	res, err := Run("t3", storeParams(cold, "scopeA"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.String() != uncached.String() {
-		t.Errorf("cold cached run differs from uncached:\n--- uncached ---\n%s--- cold ---\n%s", uncached, res)
-	}
-	if s := cold.Stats(); s.Hits != 0 || s.Misses != 8 || s.Puts != 8 {
-		t.Errorf("cold stats = %+v, want 0 hits, 8 misses, 8 puts", s)
-	}
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
+			dir := t.TempDir()
+			cold := openStore(t, dir)
+			res, err := Run(tc.exp, storeParams(cold, "scopeA"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.String() != uncached.String() {
+				t.Errorf("cold cached run differs from uncached:\n--- uncached ---\n%s--- cold ---\n%s", uncached, res)
+			}
+			if s := cold.Stats(); s.Hits != 0 || s.Misses != tc.cells || s.Puts != tc.cells {
+				t.Errorf("cold stats = %+v, want 0 hits, %d misses, %d puts", s, tc.cells, tc.cells)
+			}
+			if err := cold.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	warm := openStore(t, dir)
-	mon := &countingMonitor{}
-	p := storeParams(warm, "scopeA")
-	p.Monitor = mon
-	res, err = Run("t3", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.String() != uncached.String() {
-		t.Errorf("warm cached run differs from uncached:\n--- uncached ---\n%s--- warm ---\n%s", uncached, res)
-	}
-	if s := warm.Stats(); s.Hits != 8 || s.Misses != 0 || s.Puts != 0 {
-		t.Errorf("warm stats = %+v, want 8 hits, 0 misses, 0 puts", s)
-	}
-	if mon.starts != 0 {
-		t.Errorf("warm run started %d cells in the engine, want 0 (all spliced)", mon.starts)
+			warm := openStore(t, dir)
+			mon := &countingMonitor{}
+			p := storeParams(warm, "scopeA")
+			p.Monitor = mon
+			res, err = Run(tc.exp, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.String() != uncached.String() {
+				t.Errorf("warm cached run differs from uncached:\n--- uncached ---\n%s--- warm ---\n%s", uncached, res)
+			}
+			if s := warm.Stats(); s.Hits != tc.cells || s.Misses != 0 || s.Puts != 0 {
+				t.Errorf("warm stats = %+v, want %d hits, 0 misses, 0 puts", s, tc.cells)
+			}
+			if mon.starts != 0 {
+				t.Errorf("warm run started %d cells in the engine, want 0 (all spliced)", mon.starts)
+			}
+		})
 	}
 }
 
 // TestStoreScopeSeparatesParams: the store key folds in the caller's
 // scope hash, so a warm store probed under a different scope (different
-// result-determining parameters) must miss everything and re-simulate.
+// result-determining parameters) must miss everything and re-simulate —
+// a store left by a run with other parameters never resumes this one.
 func TestStoreScopeSeparatesParams(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	if _, err := Run("t3", storeParams(st, "scopeA")); err != nil {

@@ -8,7 +8,6 @@ import (
 	"retstack/internal/core"
 	"retstack/internal/emu"
 	"retstack/internal/stats"
-	"retstack/internal/workloads"
 )
 
 // runT1 prints the baseline machine description (the paper's Table 1).
@@ -36,7 +35,7 @@ func runT2(p Params) (*Result, error) {
 	// One cell per workload: the functional characterization run plus the
 	// baseline timing simulation. Both run the same prebuilt image — the
 	// functional machine copies code pages on write, so sharing is safe.
-	ims, err := p.imagesFor(len(ws), func(i int) workloads.Workload { return ws[i] })
+	ims, err := buildImages(p, ws)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@ import (
 // (pinned by TestTraceDoesNotPerturbResults).
 //
 // Cells run concurrently, so the callbacks must be safe for concurrent
-// use — same contract as Params.Sample. Cells replayed from a resume
-// journal never execute and therefore produce no traces.
+// use — same contract as Params.Sample. Cells spliced in from the result
+// store never execute and therefore produce no traces.
 type TraceParams struct {
 	// Dir, when non-empty, writes one JSONL trace file per cell, named
 	// <exp>-c<cell>.trace.jsonl. Empty means attribution-only: causes are

@@ -15,8 +15,9 @@
 //
 // Everything is deterministic: faults fire by (experiment, cell, attempt)
 // and corruption addresses come from a seeded splitmix sequence keyed by
-// cycle, so an injected run is exactly reproducible — and a journaled cell
-// that was corrupted replays byte-identically.
+// cycle, so an injected run is exactly reproducible: rerunning the same
+// plan and seed corrupts the same cells identically. (Injected runs never
+// touch the result store, so they have no resume; rerun them whole.)
 //
 // Paper alignment: corrupt faults must never crash a simulation. A
 // corrupted entry either gets repaired by the configured checkpoint

@@ -52,7 +52,7 @@ func TestDisturberAbsorbedAsMispredictions(t *testing.T) {
 }
 
 // TestDisturberDeterministic: equal seeds reproduce identical stats, so a
-// journaled corrupted cell replays byte-identically.
+// rerun of a corrupted cell reproduces it byte-identically.
 func TestDisturberDeterministic(t *testing.T) {
 	cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
 	a := runFib(t, cfg, 500, 7)

@@ -5,18 +5,15 @@
 // two runs — or two users — asking for the same (configuration, budget,
 // workload set, experiment, cell) tuple share one simulation.
 //
-// The on-disk layout extends the crash-safe journal format from the sweep
-// package: a store directory holds append-only segment files
-// (seg-000001.log, seg-000002.log, …) of JSONL records, each record
-// carrying its payload's CRC32 and a provenance stamp (tool, time, scope).
-// Records are fsynced before Put returns. A process killed mid-append
-// leaves at worst one truncated trailing line, which Open recovers from by
-// keeping the valid prefix — and, for the active segment, truncating the
-// torn tail so later appends stay parsable. Duplicate keys keep the
-// latest record, so a corrupt or schema-drifted entry is healed by simply
-// storing the cell again.
+// A store directory is an internal/seglog segment log: each record — key,
+// provenance stamp (tool, time, scope), and payload — is one checksummed
+// frame, fsynced before Put returns, and Open keeps every segment's valid
+// prefix after a crash. Duplicate keys keep the latest record, so a
+// corrupt or schema-drifted entry is healed by simply storing the cell
+// again. A directory written before the store moved onto seglog holds
+// lines that are not seglog frames; it replays once as an empty cache,
+// with the lost bytes reported in Stats().DroppedBytes.
 //
-// Segments rotate at a size threshold and are immutable once rotated.
 // Eviction is segment-granular: Trim drops whole oldest segments until
 // the store fits a byte budget (the active segment is always kept), which
 // is safe because every record is self-contained — a dropped key is
@@ -32,22 +29,18 @@
 package resultstore
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"retstack/internal/seglog"
 )
 
 // ErrClosed reports an append against a closed store — the shutdown
@@ -55,15 +48,15 @@ import (
 // campaign goroutine outlived the drain window).
 var ErrClosed = errors.New("resultstore: store closed")
 
-// IOError marks a storage-layer failure — a failed write, fsync, or
-// segment rotation — as opposed to a compute, validation, or lifecycle
+// IOError marks a storage-layer failure — a failed append (write, fsync,
+// or segment rotation) — as opposed to a compute, validation, or lifecycle
 // error. The distinction is what lets a caller degrade instead of fail:
 // a simulation whose result could not be persisted is still a valid
 // result, so the experiments layer returns it uncached and the server
 // flips into compute-without-cache mode rather than failing campaigns
 // on a full disk.
 type IOError struct {
-	Op  string // "write", "fsync", "rotate", "inject"
+	Op  string // "append", "inject"
 	Err error
 }
 
@@ -75,14 +68,6 @@ func IsIO(err error) bool {
 	var io *IOError
 	return errors.As(err, &io)
 }
-
-// DefaultMaxSegmentBytes is the rotation threshold for the active segment.
-const DefaultMaxSegmentBytes = 4 << 20
-
-const (
-	segPrefix = "seg-"
-	segSuffix = ".log"
-)
 
 // Provenance stamps where a stored result came from. It rides on the
 // record (and back out of Get), never inside the payload, so payload bytes
@@ -99,10 +84,9 @@ type Provenance struct {
 	Cell int    `json:"cell,omitempty"`
 }
 
-// record is one JSONL segment line.
+// record is one store entry, the payload of one seglog frame.
 type record struct {
 	Key     string          `json:"key"`
-	CRC     uint32          `json:"crc"`
 	Prov    *Provenance     `json:"prov,omitempty"`
 	Payload json.RawMessage `json:"payload"`
 }
@@ -123,7 +107,7 @@ type Stats struct {
 	Puts   uint64
 	Shared uint64
 	// Recovered counts records loaded at Open; DroppedBytes is how much
-	// trailing corruption Open discarded across segments.
+	// torn or unreadable data Open discarded across segments.
 	Recovered    uint64
 	DroppedBytes uint64
 }
@@ -168,21 +152,16 @@ type flightShard struct {
 
 // Store is an open result store. Safe for concurrent use.
 type Store struct {
-	dir     string
-	tool    string
-	maxSeg  int64
-	obs     Observer
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	puts    atomic.Uint64
-	shared  atomic.Uint64
-	recov   uint64
-	dropped uint64
+	tool   string
+	obs    Observer
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	puts   atomic.Uint64
+	shared atomic.Uint64
+	recov  uint64
 
 	mu       sync.Mutex
-	f        *os.File // active segment
-	seg      int      // active segment number
-	size     int64    // active segment bytes
+	log      *seglog.Log
 	index    map[string]entry
 	closed   bool
 	putFault func() error // deterministic I/O fault seam (see SetPutFault)
@@ -203,54 +182,37 @@ func (s *Store) flightShardFor(key string) *flightShard {
 }
 
 // Open opens (creating if needed) the store rooted at dir, loading every
-// segment's valid prefix into the in-memory index. A torn tail on the
-// active segment is truncated away so subsequent appends remain parsable;
-// torn tails on rotated segments just drop the affected records (they
-// re-fill on next use).
+// segment's valid prefix into the in-memory index (see seglog.Open).
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	s := &Store{
-		dir:    dir,
-		tool:   "resultstore",
-		maxSeg: DefaultMaxSegmentBytes,
-		index:  map[string]entry{},
-	}
+	s := &Store{tool: "resultstore", index: map[string]entry{}}
 	for i := range s.flights {
 		s.flights[i].m = map[string]*flight{}
 	}
-	segs, err := listSegments(dir)
+	log, err := seglog.Open(dir, func(payload []byte) {
+		if load(s.index, payload) {
+			s.recov++
+		}
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	for i, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, segName(seg)))
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		recs, consumed := parseSegment(data)
-		for _, r := range recs {
-			s.index[r.Key] = entry{payload: r.Payload, prov: provOf(r)}
-		}
-		s.recov += uint64(len(recs))
-		s.dropped += uint64(len(data) - consumed)
-		if i == len(segs)-1 && consumed < len(data) {
-			// Active segment with a torn tail: truncate to the valid
-			// prefix so the next append starts on a clean line.
-			if err := os.Truncate(filepath.Join(dir, segName(seg)), int64(consumed)); err != nil {
-				return nil, fmt.Errorf("resultstore: truncate torn tail: %w", err)
-			}
-		}
-	}
-	active := 1
-	if len(segs) > 0 {
-		active = segs[len(segs)-1]
-	}
-	if err := s.openSegment(active); err != nil {
-		return nil, err
-	}
+	s.log = log
 	return s, nil
+}
+
+// load indexes one replayed record, reporting whether it was one: a
+// payload that does not decode as a record is skipped.
+func load(index map[string]entry, payload []byte) bool {
+	var r record
+	if json.Unmarshal(payload, &r) != nil || r.Key == "" || r.Payload == nil {
+		return false
+	}
+	var prov Provenance
+	if r.Prov != nil {
+		prov = *r.Prov
+	}
+	index[r.Key] = entry{payload: r.Payload, prov: prov}
+	return true
 }
 
 // SetTool names the producing tool stamped into Put provenance.
@@ -260,11 +222,7 @@ func (s *Store) SetTool(tool string) { s.tool = tool }
 func (s *Store) SetObserver(obs Observer) { s.obs = obs }
 
 // SetMaxSegmentBytes overrides the rotation threshold (testing knob).
-func (s *Store) SetMaxSegmentBytes(n int64) {
-	if n > 0 {
-		s.maxSeg = n
-	}
-}
+func (s *Store) SetMaxSegmentBytes(n int64) { s.log.SetMaxSegmentBytes(n) }
 
 // SetPutFault installs a deterministic I/O fault: every subsequent Put
 // consults f before touching the disk and fails with an *IOError when f
@@ -280,7 +238,7 @@ func (s *Store) SetPutFault(f func() error) {
 }
 
 // Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.log.Dir() }
 
 // Len returns the number of distinct keys resident in the index.
 func (s *Store) Len() int {
@@ -297,7 +255,7 @@ func (s *Store) Stats() Stats {
 		Puts:         s.puts.Load(),
 		Shared:       s.shared.Load(),
 		Recovered:    s.recov,
-		DroppedBytes: s.dropped,
+		DroppedBytes: s.log.DroppedBytes(),
 	}
 }
 
@@ -343,12 +301,10 @@ func (s *Store) Put(key string, payload []byte, prov Provenance) error {
 	if prov.Time == "" {
 		prov.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	}
-	rec := record{Key: key, CRC: crc32.ChecksumIEEE(payload), Prov: &prov, Payload: payload}
-	line, err := json.Marshal(rec)
+	rec, err := json.Marshal(record{Key: key, Prov: &prov, Payload: payload})
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	line = append(line, '\n')
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,18 +316,9 @@ func (s *Store) Put(key string, payload []byte, prov Provenance) error {
 			return &IOError{Op: "inject", Err: ferr}
 		}
 	}
-	if s.size > 0 && s.size+int64(len(line)) > s.maxSeg {
-		if err := s.openSegment(s.seg + 1); err != nil {
-			return &IOError{Op: "rotate", Err: err}
-		}
+	if err := s.log.Append(rec); err != nil {
+		return &IOError{Op: "append", Err: err}
 	}
-	if _, err := s.f.Write(line); err != nil {
-		return &IOError{Op: "write", Err: err}
-	}
-	if err := s.f.Sync(); err != nil {
-		return &IOError{Op: "fsync", Err: err}
-	}
-	s.size += int64(len(line))
 	// The index owns its payload bytes: callers may reuse theirs.
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
@@ -518,49 +465,18 @@ func (s *Store) endFlight(key string, f *flight) {
 func (s *Store) Trim(maxBytes int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	segs, err := listSegments(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	sizes := make([]int64, len(segs))
-	var total int64
-	for i, seg := range segs {
-		fi, err := os.Stat(filepath.Join(s.dir, segName(seg)))
-		if err != nil {
-			return 0, fmt.Errorf("resultstore: %w", err)
-		}
-		sizes[i] = fi.Size()
-		total += fi.Size()
-	}
-	removed := 0
-	for i := 0; i < len(segs)-1 && total > maxBytes; i++ {
-		if err := os.Remove(filepath.Join(s.dir, segName(segs[i]))); err != nil {
-			return removed, fmt.Errorf("resultstore: %w", err)
-		}
-		total -= sizes[i]
-		removed++
-	}
-	if removed == 0 {
-		return 0, nil
-	}
-	// Rebuild the index from the surviving segments: keys whose only
+	// Rebuild the index from the surviving segments: keys whose latest
 	// record lived in an evicted segment disappear (and re-fill on use).
-	s.index = map[string]entry{}
-	for _, seg := range segs[removed:] {
-		data, err := os.ReadFile(filepath.Join(s.dir, segName(seg)))
-		if err != nil {
-			return removed, fmt.Errorf("resultstore: %w", err)
-		}
-		recs, _ := parseSegment(data)
-		for _, r := range recs {
-			s.index[r.Key] = entry{payload: r.Payload, prov: provOf(r)}
-		}
+	index := map[string]entry{}
+	removed, err := s.log.Trim(maxBytes, func(payload []byte) { load(index, payload) })
+	if removed > 0 && err == nil {
+		s.index = index
 	}
-	return removed, nil
+	return removed, err
 }
 
-// Close closes the active segment. Further Puts fail; Gets keep serving
-// the in-memory index.
+// Close closes the store's log. Further Puts fail; Gets keep serving the
+// in-memory index.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -568,90 +484,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.f.Close()
-}
-
-// openSegment makes seg the active segment, opened for append. Caller
-// holds mu (or is Open, pre-publication).
-func (s *Store) openSegment(seg int) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(seg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if s.f != nil {
-		s.f.Close()
-	}
-	s.f, s.seg, s.size = f, seg, fi.Size()
-	return nil
-}
-
-func segName(seg int) string { return fmt.Sprintf("%s%06d%s", segPrefix, seg, segSuffix) }
-
-// listSegments returns the store's segment numbers in ascending order.
-func listSegments(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	var segs []int
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix))
-		if err != nil || n <= 0 {
-			continue
-		}
-		segs = append(segs, n)
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// parseSegment parses one segment's bytes, tolerating a truncated or
-// corrupt tail: parsing stops at the first malformed line — no trailing
-// newline, invalid JSON, a non-record object, or a CRC mismatch — and the
-// valid prefix is kept. The second result is that prefix's length in
-// bytes. (This is the journal format's recovery contract, extended with
-// the per-record checksum.)
-func parseSegment(data []byte) ([]record, int) {
-	var recs []record
-	consumed := 0
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			break // a crash truncated this line
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			consumed += nl + 1
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break
-		}
-		if rec.Key == "" || rec.Payload == nil || crc32.ChecksumIEEE(rec.Payload) != rec.CRC {
-			break
-		}
-		recs = append(recs, rec)
-		consumed += nl + 1
-	}
-	return recs, consumed
-}
-
-func provOf(r record) Provenance {
-	if r.Prov == nil {
-		return Provenance{}
-	}
-	return *r.Prov
+	return s.log.Close()
 }
 
 // Scope derives the content hash identifying a cell universe: the

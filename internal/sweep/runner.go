@@ -90,16 +90,9 @@ type Policy struct {
 	CellTimeout time.Duration
 
 	// Skip marks cells to omit entirely — no execution, no monitor
-	// callbacks, zero-value results. Used by resume to splice journaled
-	// cells around the engine.
+	// callbacks, zero-value results. Used by the experiments layer to
+	// splice result-store hits around the engine.
 	Skip func(cell int) bool
-
-	// OnSuccess runs on the worker after a cell's fn succeeds, before the
-	// cell is considered done; an error from it fails the cell. Used to
-	// journal results crash-safely: the engine guarantees it is never
-	// called for an abandoned (timed-out) attempt, so a journal never
-	// records a cell the engine discarded.
-	OnSuccess func(cell int, v any) error
 
 	// OnWorkerStats, if non-nil, receives the engine's per-worker
 	// accounting exactly once, after every worker has drained. The stats
@@ -314,14 +307,9 @@ func runCellPolicy[T any](e *engine, w, i int, start time.Time, slot *T, fn func
 	for attempt := 1; ; attempt++ {
 		v, err := runAttempt(e.ctx, e.pol.CellTimeout, w, i, fn)
 		if err == nil {
-			if e.pol.OnSuccess != nil {
-				err = e.pol.OnSuccess(i, v)
-			}
-			if err == nil {
-				*slot = v
-				finalErr = nil // a retried cell that succeeded is not an error
-				return
-			}
+			*slot = v
+			finalErr = nil // a retried cell that succeeded is not an error
+			return
 		}
 		finalErr = &CellError{Cell: i, Attempt: attempt, Err: err}
 		if e.pol.OnError == Retry && attempt < e.pol.MaxAttempts &&

@@ -218,7 +218,7 @@ func TestSkipPolicyReportsHoles(t *testing.T) {
 }
 
 // TestSkipFunc: cells marked by Policy.Skip never execute and produce no
-// monitor callbacks — the resume fast path.
+// monitor callbacks — the path result-store hits splice in through.
 func TestSkipFunc(t *testing.T) {
 	var ran [10]atomic.Int32
 	var starts atomic.Int32
@@ -249,24 +249,6 @@ func TestSkipFunc(t *testing.T) {
 	}
 	if starts.Load() != 5 {
 		t.Errorf("monitor saw %d starts, want 5 (skipped cells are invisible)", starts.Load())
-	}
-}
-
-// TestOnSuccessFailureFailsCell: an OnSuccess (journaling) error fails the
-// cell like any other error.
-func TestOnSuccessFailureFailsCell(t *testing.T) {
-	sinkErr := errors.New("disk full")
-	pol := Policy{OnSuccess: func(i int, v any) error {
-		if i == 2 {
-			return sinkErr
-		}
-		return nil
-	}}
-	_, _, err := MapWorkersPolicy(context.Background(), 1, 4, nil, pol,
-		func(_ context.Context, _, i int) (int, error) { return i, nil })
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Cell != 2 || !errors.Is(err, sinkErr) {
-		t.Fatalf("err = %v, want cell 2 wrapping the sink error", err)
 	}
 }
 

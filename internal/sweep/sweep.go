@@ -13,8 +13,9 @@
 // cells can be canceled via a context, watched by a per-cell timeout,
 // retried with backoff, or skipped with the failure reported as an
 // explicit hole. Failures are always typed — *CellError wrapping the
-// cause — and completed results can be journaled crash-safely (Journal)
-// for later resume.
+// cause. Crash-safe resume lives a layer up: the experiments package
+// persists each finished cell in the result store (internal/resultstore)
+// and splices stored cells around the engine via Policy.Skip.
 package sweep
 
 import (

@@ -48,10 +48,6 @@ type Manifest struct {
 	// provenance, not a result-determining field, so it is outside
 	// ConfigHash.
 	Status string `json:"status,omitempty"`
-	// Resume records crash-safe-resume provenance when -resume spliced
-	// journaled cells into this run, chaining back to every prior run
-	// that appended to the journal.
-	Resume *ResumeRecord `json:"resume,omitempty"`
 
 	// Trace records event-trace capture provenance when -trace-out was
 	// set. Tracing is strictly observational (tables stay byte-identical),
@@ -60,21 +56,12 @@ type Manifest struct {
 
 	// Store records result-store provenance when -store backed this run:
 	// where the cache lives, the scope hash its keys were derived under,
-	// and the hit/miss/put/shared counts. Cached splices are byte-identical
-	// to simulation, so like Resume it lives outside ConfigHash.
+	// and the hit/miss/put/shared counts — a resumed run's hits are the
+	// cells it spliced in. Cached splices are byte-identical to
+	// simulation, so like Status it lives outside ConfigHash.
 	Store *StoreRecord `json:"store,omitempty"`
 
 	Experiments []ExperimentRecord `json:"experiments,omitempty"`
-}
-
-// ResumeRecord traces a resumed run back to the journal that fed it.
-// PriorRuns carries the journal's run stamps as "tool@start" strings, so
-// the manifest alone reconstructs the full chain of partial runs that
-// produced the artifact.
-type ResumeRecord struct {
-	Journal       string   `json:"journal"`
-	PriorRuns     []string `json:"prior_runs,omitempty"`
-	CellsReplayed int      `json:"cells_replayed"`
 }
 
 // TraceRecord is the manifest's trace-capture provenance: where the

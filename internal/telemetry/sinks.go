@@ -6,7 +6,7 @@ import (
 )
 
 // SinkSet coordinates end-of-run flushing for every observability sink a
-// CLI opens (metrics dump, event log, journal, manifest, trace files).
+// CLI opens (metrics dump, event log, result store, manifest, trace files).
 // The CLIs have three exit paths — normal completion, signal-initiated
 // drain, and fatal error — and historically each flushed its own ad-hoc
 // subset, so a sink added to one path could silently miss another (the
