@@ -174,12 +174,6 @@ func main() {
 		showCfg  = flag.Bool("config", false, "print the machine configuration and exit")
 		list     = flag.Bool("list", false, "list available workloads and exit")
 
-		// Simulator-speed A/B switches, mirroring rasbench: output is
-		// byte-identical under any combination.
-		noPredecode = flag.Bool("no-predecode", false, "decode every fetch from memory instead of the predecoded instruction plane (A/B switch; output is identical either way)")
-		flatOverlay = flag.Bool("flat-overlay", true, "use the flat word-granular wrong-path overlay; false selects the original map-based overlay (A/B switch; output is identical either way)")
-		noBlocks    = flag.Bool("no-blocks", false, "dispatch instruction-at-a-time instead of basic-block-at-a-time over the predecode plane (A/B switch; output is identical either way)")
-
 		metricsOut  = flag.String("metrics-out", "", "write the Prometheus text exposition to this file on exit")
 		eventsOut   = flag.String("events-out", "", "write a JSONL event log (cycle samples + run records) to this file")
 		manifestOut = flag.String("manifest-out", "", "write a JSON run manifest (resolved config, hash) to this file")
@@ -203,9 +197,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.SpecHistory = *specHist
-	cfg.NoPredecode = *noPredecode
-	cfg.NoFlatOverlay = !*flatOverlay
-	cfg.NoBlocks = *noBlocks
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}

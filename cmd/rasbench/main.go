@@ -87,18 +87,15 @@ func flushAll() bool {
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "experiment id (t1-t4, f1-f5, a1-a8) or 'all'")
-		insts       = flag.Uint64("insts", 0, "instruction budget per simulation (0 = default)")
-		warmup      = flag.Uint64("warmup", 0, "fast-forward this many instructions before measuring")
-		bench       = flag.String("bench", "", "comma-separated workload subset (default: all eight)")
-		format      = flag.String("format", "table", "output format: table | csv (structured values)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulations to run concurrently (1 = serial; output is identical at any setting)")
-		noPredecode = flag.Bool("no-predecode", false, "decode every fetch from memory instead of the predecoded instruction plane (A/B switch; output is identical either way)")
-		flatOverlay = flag.Bool("flat-overlay", true, "use the flat word-granular wrong-path overlay; false selects the original map-based overlay (A/B switch; output is identical either way)")
-		noBlocks    = flag.Bool("no-blocks", false, "dispatch instruction-at-a-time instead of basic-block-at-a-time over the predecode plane (A/B switch; output is identical either way)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		exp        = flag.String("exp", "", "experiment id (t1-t4, f1-f5, a1-a8) or 'all'")
+		insts      = flag.Uint64("insts", 0, "instruction budget per simulation (0 = default)")
+		warmup     = flag.Uint64("warmup", 0, "fast-forward this many instructions before measuring")
+		bench      = flag.String("bench", "", "comma-separated workload subset (default: all eight)")
+		format     = flag.String("format", "table", "output format: table | csv (structured values)")
+		list       = flag.Bool("list", false, "list experiments and exit")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulations to run concurrently (1 = serial; output is identical at any setting)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
 		metricsOut  = flag.String("metrics-out", "", "write the Prometheus text exposition to this file on exit")
 		eventsOut   = flag.String("events-out", "", "write a JSONL structured event log to this file")
@@ -251,8 +248,7 @@ func main() {
 		ids = retstack.ExperimentIDs()
 	}
 	params := experiments.Params{
-		InstBudget: *insts, Warmup: *warmup, Parallel: *parallel, NoPredecode: *noPredecode,
-		NoFlatOverlay: !*flatOverlay, NoBlocks: *noBlocks,
+		InstBudget: *insts, Warmup: *warmup, Parallel: *parallel,
 		Ctx: ctx, OnCellError: policy, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
 		CellTimeout: *cellTimeout, Inject: plan,
 	}

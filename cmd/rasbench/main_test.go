@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -36,6 +38,38 @@ func rasbench(t *testing.T, args ...string) *exec.Cmd {
 
 var e2eArgs = []string{"-exp", "all", "-insts", "60000", "-bench", "go,li"}
 
+// cleanRun is the stdout of one uninterrupted `rasbench e2eArgs...` run,
+// shared by the tests that need it so a race build pays for it once.
+var cleanRun = sync.OnceValues(func() ([]byte, error) {
+	cmd := exec.Command(os.Args[0], e2eArgs...)
+	cmd.Env = append(os.Environ(), "RASBENCH_MAIN=1")
+	return cmd.Output()
+})
+
+var update = flag.Bool("update", false, "rewrite the golden tables from this build's output")
+
+// TestTablesMatchGolden holds the simulator to a fixed point: a clean
+// e2eArgs run must print exactly the committed tables. An intended result
+// change regenerates them with -update, so the golden diff shows what
+// moved.
+func TestTablesMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	const golden = "testdata/exp-all-go-li-60k.golden"
+	got, err := cleanRun()
+	if err == nil && *update {
+		err = os.WriteFile(golden, got, 0o644)
+	}
+	want, rerr := os.ReadFile(golden)
+	if err != nil || rerr != nil {
+		t.Fatal(err, rerr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("tables differ from %s (rerun with -update if intended):\n%s", golden, got)
+	}
+}
+
 // TestKillAndResume is the end-to-end resilience contract: a run backed
 // by a result store and killed by SIGINT mid-sweep exits cleanly (code
 // 130, manifest flushed), and rerunning the same command against the same
@@ -49,10 +83,8 @@ func TestKillAndResume(t *testing.T) {
 	store := filepath.Join(dir, "store")
 
 	// Reference: one clean, uninterrupted run.
-	clean := rasbench(t, e2eArgs...)
-	var cleanOut bytes.Buffer
-	clean.Stdout = &cleanOut
-	if err := clean.Run(); err != nil {
+	cleanOut, err := cleanRun()
+	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 
@@ -79,7 +111,7 @@ func TestKillAndResume(t *testing.T) {
 	if err := inter.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	err := inter.Wait()
+	err = inter.Wait()
 	interrupted := false
 	if ee, ok := err.(*exec.ExitError); ok {
 		if code := ee.ExitCode(); code != 130 {
@@ -113,9 +145,9 @@ func TestKillAndResume(t *testing.T) {
 	if err := resume.Run(); err != nil {
 		t.Fatalf("resume run: %v (stderr: %s)", err, resumeErrB.String())
 	}
-	if !bytes.Equal(cleanOut.Bytes(), resumeOut.Bytes()) {
+	if !bytes.Equal(cleanOut, resumeOut.Bytes()) {
 		t.Errorf("resumed stdout differs from clean run\n--- clean ---\n%s--- resumed ---\n%s",
-			cleanOut.String(), resumeOut.String())
+			cleanOut, resumeOut.String())
 	}
 	var m telemetry.Manifest
 	b, err := os.ReadFile(resMan)

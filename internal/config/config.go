@@ -215,31 +215,6 @@ type Config struct {
 	// (interleaved calls/returns corrupt it — Hily & Seznec's negative
 	// result); false gives each thread its own stack.
 	SMTSharedRAS bool
-
-	// NoPredecode disables the predecode instruction plane, forcing every
-	// fetch through Memory.Read32 + isa.Decode. The plane is a pure
-	// simulator-speed optimization — results are byte-identical either way
-	// (pinned by TestPredecodeMatchesFallback) — so this exists only for
-	// that test and for A/B measurements (rasbench -no-predecode). Not a
-	// machine parameter: it does not appear in Describe().
-	NoPredecode bool
-
-	// NoFlatOverlay swaps the flat word-granular wrong-path overlay for the
-	// original per-byte map implementation. Like NoPredecode this is a pure
-	// simulator-speed switch — results are byte-identical either way
-	// (pinned by TestFlatOverlayMatchesMap) — kept for that test and for
-	// A/B measurements (rasbench -flat-overlay=false). Not a machine
-	// parameter: it does not appear in Describe().
-	NoFlatOverlay bool
-
-	// NoBlocks disables basic-block dispatch over the predecode plane,
-	// forcing the emulator, fast-forward, and pipeline fetch back to
-	// instruction-at-a-time operation. Like NoPredecode this is a pure
-	// simulator-speed switch — results are byte-identical either way
-	// (pinned by TestBlocksMatchFallback and FuzzBlockEquivalence) — kept
-	// for those tests and for A/B measurements (rasbench -no-blocks). Not a
-	// machine parameter: it does not appear in Describe().
-	NoBlocks bool
 }
 
 // Baseline returns the paper's Table 1 machine.

@@ -15,13 +15,13 @@ import (
 // invalid encodings, misaligned accesses, a store that dirties the code
 // region, a PC outside the plane — stops the batch and re-executes through
 // Step, so errors, counters, and architectural state are bit-for-bit the
-// single-step semantics. DisableBlocks (Config.NoBlocks / -no-blocks)
-// forces everything through Step for A/B verification.
+// single-step semantics.
 
 // DisableBlocks turns off basic-block dispatch: Run degrades to the
 // single-instruction Step loop and the pipeline's fetch/fast-forward block
-// paths see no blocks from this machine. Like DisablePredecode it is a pure
-// simulator-speed switch — architectural results are identical either way.
+// paths see no blocks from this machine. Like DisablePredecode it is a
+// test-only reference: production always dispatches blocks, and the
+// determinism tests hold it byte-identical to this step-at-a-time path.
 func (m *Machine) DisableBlocks() { m.noBlocks = true }
 
 // runBlocks is Run's block-dispatch loop: execute the straight-line body of

@@ -28,7 +28,8 @@ type Machine struct {
 	ClassCounts [16]uint64
 
 	// plane is the loaded image's predecode plane (nil when the image has
-	// no code segment or predecode is disabled); FetchInst serves from it.
+	// no code segment, or in a test that disabled it); FetchInst serves
+	// from it.
 	plane *program.Plane
 	// PredecodeHits / PredecodeFallbacks count FetchInst calls served from
 	// the plane vs. decoded from memory (plane off, PC outside the code
@@ -36,11 +37,11 @@ type Machine struct {
 	PredecodeHits      uint64
 	PredecodeFallbacks uint64
 
-	// noBlocks disables basic-block dispatch (see block.go). BlockHits
-	// counts block dispatches served from the plane's block table;
-	// BlockBuilds counts distinct block entry points this machine
-	// dispatched for the first time — the descriptor builds it would
-	// perform with a private table. The actual lazy build runs at most
+	// noBlocks disables basic-block dispatch (DisableBlocks, a test
+	// reference; see block.go). BlockHits counts block dispatches served
+	// from the plane's block table; BlockBuilds counts distinct block
+	// entry points this machine dispatched for the first time — the
+	// descriptor builds it would perform with a private table. The actual lazy build runs at most
 	// once per block on the shared plane, so counting real builds would
 	// depend on which machine touched a shared image first; the per-machine
 	// first-entry count (tracked in blockSeen) is deterministic. Purely
@@ -92,8 +93,9 @@ func (m *Machine) Load(im *program.Image) {
 }
 
 // DisablePredecode detaches the predecode plane, forcing every FetchInst
-// through Read32+Decode. Used by the determinism tests and the
-// -no-predecode flag to pin that the plane changes nothing but speed.
+// through Read32+Decode — the path self-modifying code and fetch outside
+// the code segment take anyway. Production never calls it: it is the
+// reference the determinism tests hold the plane against.
 func (m *Machine) DisablePredecode() { m.plane = nil }
 
 // ReadReg implements State.

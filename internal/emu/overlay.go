@@ -3,8 +3,8 @@ package emu
 import "retstack/internal/isa"
 
 // Overlay is the flat copy-on-write view the pipeline executes wrong-path
-// instructions against. Registers shadow the base exactly as in MapOverlay
-// (dirty bitmap + value array); memory is tracked at word granularity with a
+// instructions against. Registers shadow the base through a dirty bitmap
+// and a value array; memory is tracked at word granularity with a
 // per-byte dirty mask so partial stores stay byte-exact while the common
 // aligned word access is a single slot lookup.
 //
@@ -12,7 +12,7 @@ import "retstack/internal/isa"
 // multipath the correct path keeps mutating the architectural Machine while
 // wrong-path overlays are live, so capturing base words at write time would
 // drift. The per-byte masks are what keep the flat store byte-identical to
-// the map reference.
+// a per-byte map (the MapOverlay oracle in the tests).
 //
 // A typical wrong path touches a handful of words, so slots live in a small
 // inline array scanned linearly; overflow spills to an open-addressed table

@@ -140,9 +140,13 @@ func TestOverlaySteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzOverlayStore drives the flat overlay and the map reference with the
-// same operation stream and demands identical reads. The op stream is
-// decoded from raw bytes: op, addr (2 bytes, keeping footprints collisive),
-// value.
+// same operation stream and demands identical reads. Besides memory stores,
+// loads and Reset, the stream exercises every entry point the pipeline
+// uses: register writes, a fork drawn from the pool (CopyFrom into a spare
+// overlay holding stale state), Clone, and Rebase onto either of two
+// machines. The map side forks with Clone and rebases to a fresh overlay.
+// The op stream is decoded from raw bytes: op, addr (2 bytes, keeping
+// footprints collisive), value.
 func FuzzOverlayStore(f *testing.F) {
 	f.Add([]byte{0, 0x10, 0x00, 7, 1, 0x10, 0x02, 9})
 	f.Add([]byte{2, 0x20, 0x00, 1, 3, 0x20, 0x00, 0, 4, 0, 0, 0})
@@ -151,18 +155,37 @@ func FuzzOverlayStore(f *testing.F) {
 		seed = append(seed, byte(i%5), byte(i*7), byte(i), byte(i*3))
 	}
 	f.Add(seed)
+	seed = nil
+	for r := 0; r < 32; r++ { // every register dirty, then fork and compare
+		seed = append(seed, 5, byte(r), 0, byte(r+1))
+	}
+	f.Add(append(seed, 7, 0, 0, 0, 6, 0, 0, 0, 8, 0, 0, 0, 6, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := NewMachine()
-		for i := uint32(0); i < 1024; i += 4 {
-			m.Mem.Write32(i, i*2654435761)
+		var bases [2]*Machine
+		for b := range bases {
+			m := NewMachine()
+			for i := uint32(0); i < 1024; i += 4 {
+				m.Mem.Write32(i, i*2654435761+uint32(b))
+			}
+			for r := range m.Regs {
+				m.WriteReg(r, uint32(r)*0x01010101+uint32(b))
+			}
+			bases[b] = m
 		}
-		o := NewOverlay(m)
-		r := NewMapOverlay(m)
+		o, spare := NewOverlay(bases[0]), NewOverlay(bases[1])
+		r := NewMapOverlay(bases[0])
+		regs := func(when string) {
+			for i := 0; i < isa.NumRegs; i++ {
+				if o.ReadReg(i) != r.ReadReg(i) {
+					t.Fatalf("%s: ReadReg(%d) = %#x, map says %#x", when, i, o.ReadReg(i), r.ReadReg(i))
+				}
+			}
+		}
 		for len(data) >= 4 {
 			op, a1, a2, v := data[0], data[1], data[2], data[3]
 			data = data[4:]
 			addr := uint32(a1)<<8 | uint32(a2)
-			switch op % 5 {
+			switch op % 10 {
 			case 0:
 				o.WriteMem8(addr, v)
 				r.WriteMem8(addr, v)
@@ -181,11 +204,27 @@ func FuzzOverlayStore(f *testing.F) {
 			case 4:
 				o.Reset()
 				r.Reset()
+			case 5:
+				o.WriteReg(int(a1)%isa.NumRegs, uint32(v)*0x01010101)
+				r.WriteReg(int(a1)%isa.NumRegs, uint32(v)*0x01010101)
+			case 6:
+				regs("registers")
+			case 7: // fork from the pool; the source becomes the next spare
+				spare.CopyFrom(o)
+				o, spare = spare, o
+				r = r.Clone()
+			case 8:
+				o, spare = o.Clone(), o
+				r = r.Clone()
+			case 9:
+				o.Rebase(bases[v%2])
+				r = NewMapOverlay(bases[v%2])
 			}
 			if o.Dirty() != r.Dirty() {
 				t.Fatalf("Dirty() mismatch: flat %v, map %v", o.Dirty(), r.Dirty())
 			}
 		}
+		regs("final sweep")
 		for a := uint32(0); a < 1024; a++ {
 			if o.ReadMem8(a) != r.ReadMem8(a) {
 				t.Fatalf("final sweep: ReadMem8(%#x) = %#x, map says %#x",
@@ -197,7 +236,10 @@ func FuzzOverlayStore(f *testing.F) {
 
 // overlayStoreLoop is the shared benchmark body: a wrong-path-like epoch of
 // word stores, partial stores, and reloads, ended by a Reset.
-func overlayStoreLoop(b *testing.B, o SpecState) {
+func overlayStoreLoop(b *testing.B, o interface {
+	State
+	Reset()
+}) {
 	b.ReportAllocs()
 	var sink uint32
 	// One untimed epoch first: the overlay's lazy structures (spill table,

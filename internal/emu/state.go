@@ -1,10 +1,8 @@
 package emu
 
-import "retstack/internal/isa"
-
 // State is the register-and-memory view an instruction executes against.
-// The architectural Machine implements it directly; the overlays implement
-// it copy-on-write over another State so that mis-speculated (wrong-path)
+// The architectural Machine implements it directly; Overlay implements it
+// copy-on-write over another State so that mis-speculated (wrong-path)
 // instructions can execute without corrupting architectural state.
 type State interface {
 	ReadReg(r int) uint32
@@ -15,110 +13,4 @@ type State interface {
 	WriteMem16(addr uint32, v uint16)
 	ReadMem32(addr uint32) uint32
 	WriteMem32(addr uint32, v uint32)
-}
-
-// SpecState is the speculative (wrong-path) view the pipeline executes
-// against: a State whose updates can be discarded in bulk. Two
-// implementations exist: Overlay (the flat word-granular store, the
-// default) and MapOverlay (the original per-byte map, kept as the A/B
-// reference behind the -flat-overlay=false flag). Both are byte-exact over
-// the same base; only the cost differs.
-type SpecState interface {
-	State
-	Reset()
-	Dirty() bool
-}
-
-// MapOverlay is the original copy-on-write view over a base State: register
-// and memory writes land in the overlay; reads prefer the overlay and fall
-// through to the base. Reset discards all speculative updates in O(dirty).
-//
-// Memory is tracked at byte granularity in a Go map, which keeps
-// partial-word stores and overlapping wrong-path accesses exact but costs a
-// map operation per byte touched and an allocation per Reset. It is
-// retained verbatim as the semantic reference for Overlay (the flat
-// replacement): the equivalence tests and the fuzzer run both and demand
-// identical reads.
-type MapOverlay struct {
-	base     State
-	regDirty uint32 // bitmap over the 32 architectural registers
-	regs     [isa.NumRegs]uint32
-	mem      map[uint32]byte
-}
-
-// NewMapOverlay returns an empty map overlay on base.
-func NewMapOverlay(base State) *MapOverlay {
-	return &MapOverlay{base: base, mem: make(map[uint32]byte)}
-}
-
-// Clone returns an independent overlay over the same base with a copy of
-// the current speculative state (used when a wrong path forks).
-func (o *MapOverlay) Clone() *MapOverlay {
-	n := &MapOverlay{base: o.base, regDirty: o.regDirty, regs: o.regs,
-		mem: make(map[uint32]byte, len(o.mem))}
-	for k, v := range o.mem {
-		n.mem[k] = v
-	}
-	return n
-}
-
-// Reset discards every speculative register and memory update.
-func (o *MapOverlay) Reset() {
-	o.regDirty = 0
-	if len(o.mem) > 0 {
-		o.mem = make(map[uint32]byte)
-	}
-}
-
-// Dirty reports whether the overlay holds any speculative state.
-func (o *MapOverlay) Dirty() bool { return o.regDirty != 0 || len(o.mem) > 0 }
-
-// ReadReg implements State.
-func (o *MapOverlay) ReadReg(r int) uint32 {
-	if o.regDirty&(1<<uint(r)) != 0 {
-		return o.regs[r]
-	}
-	return o.base.ReadReg(r)
-}
-
-// WriteReg implements State.
-func (o *MapOverlay) WriteReg(r int, v uint32) {
-	if r == isa.Zero {
-		return
-	}
-	o.regDirty |= 1 << uint(r)
-	o.regs[r] = v
-}
-
-// ReadMem8 implements State.
-func (o *MapOverlay) ReadMem8(addr uint32) byte {
-	if b, ok := o.mem[addr]; ok {
-		return b
-	}
-	return o.base.ReadMem8(addr)
-}
-
-// WriteMem8 implements State.
-func (o *MapOverlay) WriteMem8(addr uint32, v byte) { o.mem[addr] = v }
-
-// ReadMem16 implements State.
-func (o *MapOverlay) ReadMem16(addr uint32) uint16 {
-	return uint16(o.ReadMem8(addr)) | uint16(o.ReadMem8(addr+1))<<8
-}
-
-// WriteMem16 implements State.
-func (o *MapOverlay) WriteMem16(addr uint32, v uint16) {
-	o.WriteMem8(addr, byte(v))
-	o.WriteMem8(addr+1, byte(v>>8))
-}
-
-// ReadMem32 implements State.
-func (o *MapOverlay) ReadMem32(addr uint32) uint32 {
-	return uint32(o.ReadMem16(addr)) | uint32(o.ReadMem16(addr+2))<<16
-}
-
-// WriteMem32 implements State.
-func (o *MapOverlay) WriteMem32(addr uint32, v uint32) {
-	o.WriteMem16(addr, uint16(v))
-	o.WriteMem16(addr+2, uint16(v>>16))
 }

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"retstack/internal/config"
 	"retstack/internal/core"
-	"retstack/internal/pipeline"
 	"retstack/internal/program"
 	"retstack/internal/stats"
 	"retstack/internal/workloads"
@@ -451,43 +449,18 @@ func runA7(p Params) (*Result, error) {
 		return nil, err
 	}
 	sharing := []bool{true, false}
-	// SMT cells do not fit simCell's single-image shape, so fan them out
-	// through the resilient core directly: one cell per (workload, sharing)
-	// pair, in assembly order, both threads (and both sharing cells)
-	// running one shared prebuilt image.
-	ims, err := buildImages(p, ws)
-	if err != nil {
-		return nil, err
-	}
-	rec := p.newRecyclers()
-	sims, err := runCells(p, len(ws)*len(sharing), func(ctx context.Context, worker, i int) (out cellOut, err error) {
-		p.doCell(ctx, i, func() {
-			w := ws[i/len(sharing)]
+	// One cell per (workload, sharing) pair, in assembly order; each
+	// co-schedules the workload's image with itself on both threads.
+	var cells []simCell
+	for _, w := range ws {
+		for _, shared := range sharing {
 			cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
 			cfg.SMTThreads = 2
-			cfg.SMTSharedRAS = sharing[i%len(sharing)]
-			cfg.NoPredecode = p.NoPredecode
-			cfg.NoFlatOverlay = p.NoFlatOverlay
-			cfg.NoBlocks = p.NoBlocks
-			r := rec.of(worker)
-			im := ims[w.Name]
-			sim, err2 := pipeline.NewSMTWithRecycler(cfg, []*program.Image{im, im}, r)
-			if err2 != nil {
-				err = err2
-				return
-			}
-			if every, addr, ok := p.Inject.Disturb(p.expID, i); ok {
-				sim.SetDisturber(every, addr)
-			}
-			if err2 := sim.Run(p.InstBudget); err2 != nil {
-				err = fmt.Errorf("%s: %w", w.Name, err2)
-				return
-			}
-			sim.Release(r)
-			out = cellOut{Sim: sim.Stats()}
-		})
-		return out, err
-	})
+			cfg.SMTSharedRAS = shared
+			cells = append(cells, simCell{w, cfg})
+		}
+	}
+	sims, err := runSims(p, cells)
 	if err != nil {
 		return nil, err
 	}

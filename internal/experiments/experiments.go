@@ -66,25 +66,6 @@ type Params struct {
 	// Strictly observational, like Monitor and Sample.
 	Trace *TraceParams
 
-	// NoPredecode disables the predecoded-instruction fast path in every
-	// simulation (the rasbench -no-predecode flag). Results are
-	// byte-identical either way (pinned by TestPredecodeMatchesFallback);
-	// the switch exists for A/B benchmarking and as a fallback.
-	NoPredecode bool
-
-	// NoFlatOverlay swaps the flat wrong-path overlay for the original
-	// map-based implementation in every simulation (the rasbench
-	// -flat-overlay=false flag). Same contract as NoPredecode: byte-
-	// identical results (pinned by TestFlatOverlayMatchesMap), kept for
-	// A/B measurement.
-	NoFlatOverlay bool
-
-	// NoBlocks disables basic-block dispatch over the predecode plane in
-	// every simulation (the rasbench -no-blocks flag). Same contract as
-	// NoPredecode: byte-identical results (pinned by
-	// TestBlocksMatchFallback), kept for A/B measurement.
-	NoBlocks bool
-
 	// Resilience knobs (the rasbench flags of the same names). Zero values
 	// are the legacy behavior: background context, abort on the first
 	// failing cell, no watchdog, no store, no injection.
@@ -510,7 +491,7 @@ func buildImages(p Params, ws []workloads.Workload) (map[string]*program.Image, 
 			distinct = append(distinct, w)
 		}
 	}
-	built, err := sweep.MapContext(p.ctx(), p.workers(), len(distinct), func(_ context.Context, i int) (*program.Image, error) {
+	built, _, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), len(distinct), nil, sweep.Policy{}, func(_ context.Context, _, i int) (*program.Image, error) {
 		im, err := buildFor(distinct[i], p)
 		if err != nil {
 			return nil, err
@@ -557,21 +538,14 @@ func (r recyclers) of(worker int) *pipeline.Recycler {
 	return r[worker]
 }
 
-// simulateCell runs one sweep cell on a prebuilt shared image: it attaches
-// the params' cycle sampler (tagged with the cell index), honors the
-// warmup fast-forward, runs to the budget, and returns the Sim (with its
+// simulateCell runs one sweep cell on a prebuilt shared image (on every
+// thread, under SMT): it attaches the params' cycle sampler (tagged with
+// the cell index), tracer and disturber, honors the warmup fast-forward
+// (single-thread cells only: FastForward refuses SMT, so SMT cells measure
+// from reset), runs to the budget, and returns the Sim (with its
 // bulk storage released back to the worker's pool — stats, machines and
 // predictors remain readable).
 func simulateCell(cell int, w workloads.Workload, im *program.Image, cfg config.Config, p Params, r *pipeline.Recycler) (*pipeline.Sim, error) {
-	if p.NoPredecode {
-		cfg.NoPredecode = true
-	}
-	if p.NoFlatOverlay {
-		cfg.NoFlatOverlay = true
-	}
-	if p.NoBlocks {
-		cfg.NoBlocks = true
-	}
 	sim, err := pipeline.NewWithRecycler(cfg, im, r)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
@@ -586,7 +560,7 @@ func simulateCell(cell int, w workloads.Workload, im *program.Image, cfg config.
 	if every, addr, ok := p.Inject.Disturb(p.expID, cell); ok {
 		sim.SetDisturber(every, addr)
 	}
-	if p.Warmup > 0 {
+	if p.Warmup > 0 && cfg.SMTThreads <= 1 {
 		if _, err := sim.FastForward(p.Warmup); err != nil {
 			finishTrace(false)
 			return nil, fmt.Errorf("%s: %w", w.Name, err)

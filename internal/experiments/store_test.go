@@ -42,9 +42,8 @@ func (m *countingMonitor) CellStart(cell, worker int) {
 }
 func (m *countingMonitor) CellDone(cell, worker int, d time.Duration, err error) {}
 
-// TestStoreMatchesUncached is the byte-identity pin for the result store,
-// the same contract the -no-blocks/-no-predecode A/B flags carry: an
-// uncached run, a cold cached run, and a warm run against a reopened
+// TestStoreMatchesUncached is the byte-identity pin for the result store:
+// an uncached run, a cold cached run, and a warm run against a reopened
 // store must render identical tables, and the warm run must start no
 // cell in the engine. This warm half is also the resume contract: an
 // interrupted run resumes by rerunning against the same store. t2 rides

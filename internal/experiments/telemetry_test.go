@@ -12,10 +12,17 @@ import (
 // TestTelemetryDoesNotPerturb is the determinism contract for the
 // observability layer: running an experiment with a sweep monitor and a
 // cycle sampler attached must render byte-identical tables and equal
-// structured values versus a plain run, at any worker count.
+// structured values versus a plain run, at any worker count. a7 covers
+// SMT cells.
 func TestTelemetryDoesNotPerturb(t *testing.T) {
+	for _, exp := range []string{"t3", "a7"} {
+		t.Run(exp, func(t *testing.T) { checkTelemetryInert(t, exp) })
+	}
+}
+
+func checkTelemetryInert(t *testing.T, exp string) {
 	base := Params{InstBudget: 6_000, Workloads: []string{"go", "li"}, Parallel: 1}
-	plain, err := Run("t3", base)
+	plain, err := Run(exp, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +41,7 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 		}
 		p.SampleEvery = 64
 
-		res, err := Run("t3", p)
+		res, err := Run(exp, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

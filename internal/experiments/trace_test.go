@@ -16,10 +16,17 @@ import (
 // per-cell trace capture attached must render byte-identical tables and
 // equal structured values versus a plain run, at any worker count — and
 // the trace files it writes must parse, reconcile with the per-cell
-// attribution stats, and attribute at least one misprediction.
+// attribution stats, and attribute at least one misprediction. a7 covers
+// SMT cells, whose two threads share one tracer.
 func TestTraceDoesNotPerturbResults(t *testing.T) {
+	for _, exp := range []string{"t3", "a7"} {
+		t.Run(exp, func(t *testing.T) { checkTraceInert(t, exp) })
+	}
+}
+
+func checkTraceInert(t *testing.T, exp string) {
 	base := Params{InstBudget: 6_000, Workloads: []string{"go", "li"}, Parallel: 1}
-	plain, err := Run("t3", base)
+	plain, err := Run(exp, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +48,7 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 				agg.Merge(&st)
 			},
 		}
-		res, err := Run("t3", p)
+		res, err := Run(exp, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -52,7 +59,7 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 			t.Errorf("workers=%d: structured values diverge with tracing attached", workers)
 		}
 		if agg.Attributed == 0 {
-			t.Fatalf("workers=%d: t3 attributed no return mispredictions", workers)
+			t.Fatalf("workers=%d: %s attributed no return mispredictions", workers, exp)
 		}
 		if agg.Events == 0 || agg.Recoveries == 0 {
 			t.Errorf("workers=%d: empty attribution aggregate: %+v", workers, agg)
@@ -60,7 +67,7 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 
 		// Every cell produced a parseable trace whose attribution totals
 		// match what OnCell reported for it.
-		files, err := filepath.Glob(filepath.Join(dir, "t3-c*.trace.jsonl"))
+		files, err := filepath.Glob(filepath.Join(dir, exp+"-c*.trace.jsonl"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("workers=%d: no trace files in %s (%v)", workers, dir, err)
 		}
@@ -85,7 +92,7 @@ func TestTraceDoesNotPerturbResults(t *testing.T) {
 			if sum.Attributed != st.Attributed {
 				t.Errorf("%s: file attributes %d, OnCell says %d", f, sum.Attributed, st.Attributed)
 			}
-			if sum.Header.Exp != "t3" {
+			if sum.Header.Exp != exp {
 				t.Errorf("%s: header exp %q", f, sum.Header.Exp)
 			}
 		}

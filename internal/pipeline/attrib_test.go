@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,7 +63,8 @@ func TestTraceDoesNotPerturb(t *testing.T) {
 // TestAttributionReconciles is the acceptance invariant: every committed
 // return misprediction is attributed to exactly one cause, so the cause
 // totals equal Returns-ReturnsCorrect — across repair policies, under
-// injected corruption, under overflow, and without a RAS at all.
+// injected corruption, under overflow, on 2-thread SMT with private and
+// shared stacks, and without a RAS at all.
 func TestAttributionReconciles(t *testing.T) {
 	check := func(name string, s *Sim, a *Attributor) {
 		t.Helper()
@@ -98,6 +100,13 @@ func TestAttributionReconciles(t *testing.T) {
 	s, a = runAttrib(t, config.Baseline().WithPolicy(core.RepairTOSPointerAndContents).WithRASEntries(8),
 		deepRecursionProgram, 0, 0)
 	check("overflow", s, a)
+
+	// SMT: both threads' returns attribute through one tracer. Private
+	// stacks run unrepaired so their wrong paths leave something to find.
+	for _, shared := range []bool{false, true} {
+		s, a := runAttrib(t, smtConfig(2, shared).WithPolicy(core.RepairNone), corruptorProgram, 0, 0)
+		check(fmt.Sprintf("smt shared=%v", shared), s, a)
+	}
 
 	// No RAS at all: everything must land in no-ras.
 	cfg := config.Baseline()

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"reflect"
 	"testing"
 
 	"retstack/internal/asm"
@@ -9,43 +8,6 @@ import (
 	"retstack/internal/core"
 	"retstack/internal/program"
 )
-
-// TestFlatOverlayMatchesMap is the pipeline-level A/B contract: the flat
-// word-granular overlay and the original map overlay must produce identical
-// committed state and statistics on a misprediction-dense workload, across
-// single-path and multipath (shared- and per-path-stack) machines.
-func TestFlatOverlayMatchesMap(t *testing.T) {
-	im := mustAssemble(t, corruptorProgram)
-	cfgs := map[string]config.Config{
-		"single":         config.Baseline().WithPolicy(core.RepairTOSPointerAndContents),
-		"no-repair":      config.Baseline(),
-		"2-path":         mpConfig(2, config.MPPerPath),
-		"4-path-unified": mpConfig(4, config.MPUnifiedRepair),
-	}
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			mapCfg := cfg
-			mapCfg.NoFlatOverlay = true
-			flat := runSim(t, cfg, im)
-			ref := runSim(t, mapCfg, im)
-
-			// The overlay counters are the one legitimate difference: the
-			// map path never spills or pools. Zero them before comparing.
-			fs, ms := *flat.Stats(), *ref.Stats()
-			fs.OverlaySpills, fs.OverlayReuses = 0, 0
-			ms.OverlaySpills, ms.OverlayReuses = 0, 0
-			if !reflect.DeepEqual(fs, ms) {
-				t.Errorf("stats diverge:\nflat: %+v\nmap:  %+v", fs, ms)
-			}
-			if flat.Machine().Regs != ref.Machine().Regs {
-				t.Error("architectural registers diverge")
-			}
-			if ms.OverlaySpills != 0 || ms.OverlayReuses != 0 {
-				t.Error("map overlay reported flat-overlay counters")
-			}
-		})
-	}
-}
 
 // TestSteadyStateStepAllocs pins the tentpole allocation property: once
 // warmed up, stepping a misprediction-heavy single-path simulation — wrong

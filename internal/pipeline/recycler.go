@@ -83,7 +83,7 @@ func (s *Sim) Release(r *Recycler) {
 	// Sim's own free list, detaching the spill counters that point into
 	// this Sim's stats.
 	for i := range s.paths {
-		if o, ok := s.paths[i].overlay.(*emu.Overlay); ok {
+		if o := s.paths[i].overlay; o != nil {
 			o.SetSpillCounter(nil)
 			r.overlays = append(r.overlays, o)
 			s.paths[i].overlay = nil
@@ -98,7 +98,8 @@ func (s *Sim) Release(r *Recycler) {
 
 // NewWithRecycler is New drawing the Sim's bulk storage from (and
 // intended to be returned to, via Release) a worker-local pool. r may be
-// nil, in which case it behaves exactly like New.
+// nil, in which case everything is allocated fresh. Under SMT the image
+// runs on every thread.
 func NewWithRecycler(cfg config.Config, im *program.Image, r *Recycler) (*Sim, error) {
 	n := cfg.SMTThreads
 	if n < 1 {
@@ -108,5 +109,5 @@ func NewWithRecycler(cfg config.Config, im *program.Image, r *Recycler) (*Sim, e
 	for i := range ims {
 		ims[i] = im
 	}
-	return NewSMTWithRecycler(cfg, ims, r)
+	return newSMTWithRecycler(cfg, ims, r)
 }

@@ -106,26 +106,18 @@ type Sim struct {
 // SMT configurations the same image runs on every thread; use NewSMT to
 // give each thread its own program.
 func New(cfg config.Config, im *program.Image) (*Sim, error) {
-	n := cfg.SMTThreads
-	if n < 1 {
-		n = 1
-	}
-	ims := make([]*program.Image, n)
-	for i := range ims {
-		ims[i] = im
-	}
-	return NewSMT(cfg, ims)
+	return NewWithRecycler(cfg, im, nil)
 }
 
 // NewSMT builds a simulator running one program per hardware thread. The
 // number of images must match Config.SMTThreads (or be 1 when SMT is off).
 func NewSMT(cfg config.Config, ims []*program.Image) (*Sim, error) {
-	return NewSMTWithRecycler(cfg, ims, nil)
+	return newSMTWithRecycler(cfg, ims, nil)
 }
 
-// NewSMTWithRecycler is NewSMT drawing bulk storage from a worker-local
+// newSMTWithRecycler is NewSMT drawing bulk storage from a worker-local
 // pool (nil behaves like NewSMT); see Recycler.
-func NewSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*Sim, error) {
+func newSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,12 +184,6 @@ func NewSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 	for i, im := range ims {
 		m := emu.NewMachine()
 		m.Load(im)
-		if cfg.NoPredecode {
-			m.DisablePredecode()
-		}
-		if cfg.NoBlocks {
-			m.DisableBlocks()
-		}
 		th := &thread{id: i, mach: m}
 		s.threads = append(s.threads, th)
 
@@ -240,13 +226,9 @@ func (s *Sim) pathByToken(tok uint64) *path {
 	return nil
 }
 
-// takeOverlay returns a speculative-state view over m: a pooled flat
-// overlay, or a fresh map overlay when the A/B flag selects the reference
-// implementation.
-func (s *Sim) takeOverlay(m *emu.Machine) emu.SpecState {
-	if s.cfg.NoFlatOverlay {
-		return emu.NewMapOverlay(m)
-	}
+// takeOverlay returns a pooled overlay over m, or a fresh one when the
+// pool is empty.
+func (s *Sim) takeOverlay(m *emu.Machine) *emu.Overlay {
 	if n := len(s.ovFree); n > 0 {
 		o := s.ovFree[n-1]
 		s.ovFree = s.ovFree[:n-1]
@@ -261,32 +243,24 @@ func (s *Sim) takeOverlay(m *emu.Machine) emu.SpecState {
 }
 
 // cloneOverlay returns an independent copy of src's speculative state over
-// the same base, drawing flat overlays from the pool.
-func (s *Sim) cloneOverlay(src emu.SpecState) emu.SpecState {
-	switch o := src.(type) {
-	case *emu.Overlay:
-		if n := len(s.ovFree); n > 0 {
-			c := s.ovFree[n-1]
-			s.ovFree = s.ovFree[:n-1]
-			c.SetSpillCounter(&s.stats.OverlaySpills)
-			c.CopyFrom(o)
-			s.stats.OverlayReuses++
-			return c
-		}
-		c := o.Clone()
+// the same base, drawn from the pool when it can be.
+func (s *Sim) cloneOverlay(src *emu.Overlay) *emu.Overlay {
+	if n := len(s.ovFree); n > 0 {
+		c := s.ovFree[n-1]
+		s.ovFree = s.ovFree[:n-1]
 		c.SetSpillCounter(&s.stats.OverlaySpills)
+		c.CopyFrom(src)
+		s.stats.OverlayReuses++
 		return c
-	default:
-		return src.(*emu.MapOverlay).Clone()
 	}
+	c := src.Clone()
+	c.SetSpillCounter(&s.stats.OverlaySpills)
+	return c
 }
 
-// recycleOverlay parks a no-longer-referenced flat overlay for reuse (map
-// overlays are simply dropped).
-func (s *Sim) recycleOverlay(src emu.SpecState) {
-	if o, ok := src.(*emu.Overlay); ok {
-		s.ovFree = append(s.ovFree, o)
-	}
+// recycleOverlay parks a no-longer-referenced overlay for reuse.
+func (s *Sim) recycleOverlay(o *emu.Overlay) {
+	s.ovFree = append(s.ovFree, o)
 }
 
 // threadOf returns the hardware thread owning a path.

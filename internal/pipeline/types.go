@@ -217,7 +217,7 @@ type path struct {
 	lastLine     uint32 // last fetched I-cache line + 1 (0 = none)
 
 	correct bool // dispatching architecturally (on the true path)
-	overlay emu.SpecState
+	overlay *emu.Overlay
 
 	ras   core.ReturnStack // per-path stack, or the shared stack
 	rasID uint16           // trace identity of ras: 0 = the shared stack,
@@ -277,16 +277,16 @@ type Stats struct {
 
 	// Predecode-plane effectiveness, summed over threads at the end of
 	// Run: fetches served from the flat predecoded table vs. decoded from
-	// memory (plane disabled, PC outside the code segment, or code region
-	// dirtied by a store). Purely observational — the fetched instruction
-	// is identical either way.
+	// memory (PC outside the code segment, or code region dirtied by a
+	// store). Purely observational — the fetched instruction is identical
+	// either way.
 	PredecodeHits      uint64
 	PredecodeFallbacks uint64
 
 	// Flat-overlay machinery, purely observational: reset epochs in which a
 	// wrong path's footprint overflowed the overlay's inline slots into its
 	// spill table, and overlays served from the Sim's pool instead of
-	// allocated. Both stay zero under -flat-overlay=false.
+	// allocated.
 	OverlaySpills uint64
 	OverlayReuses uint64
 
@@ -296,9 +296,8 @@ type Stats struct {
 	// sharing — see emu.Machine.BlockBuilds),
 	// and code-region invalidations (clean→dirty transitions, each
 	// of which stops block dispatch and predecode until reload). Purely
-	// observational — results are identical either way. Hits and builds
-	// stay zero under -no-blocks; invalidations count code-store
-	// transitions regardless, since they gate the predecode plane too.
+	// observational — results match the step-at-a-time reference
+	// (TestFastPathsMatchReference).
 	BlockHits          uint64
 	BlockBuilds        uint64
 	BlockInvalidations uint64

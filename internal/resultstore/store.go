@@ -492,8 +492,8 @@ func (s *Store) Close() error {
 // machine configuration, instruction budget, warmup, and workload set.
 // Deliberately excluded: the experiment selection (so `-exp t3` and
 // `-exp all` runs share cells — the experiment id is part of CellKey
-// instead) and the observational/A-B knobs (parallelism, telemetry,
-// -no-predecode and friends), which are pinned byte-identical elsewhere.
+// instead) and the observational knobs (parallelism, telemetry, tracing),
+// which are pinned byte-identical elsewhere.
 func Scope(config string, instBudget, warmup uint64, workloads []string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "config:%s\ninsts:%d\nwarmup:%d\nworkloads:%s\n",

@@ -20,7 +20,7 @@ type Monitor interface {
 
 // Monitors fans callbacks out to several monitors, skipping nils. It
 // returns nil when nothing remains, so callers can pass the result
-// straight to RunMonitored.
+// straight to MapWorkersPolicy.
 func Monitors(ms ...Monitor) Monitor {
 	kept := make(multiMonitor, 0, len(ms))
 	for _, m := range ms {
@@ -70,7 +70,7 @@ type CellTiming struct {
 
 // Timing collects per-cell wall-clock accounting for a sweep: cell
 // durations, per-worker busy time, and straggler identification. One
-// Timing may span several RunMonitored calls (an experiment that sweeps
+// Timing may span several MapWorkersPolicy calls (an experiment that sweeps
 // more than once); records accumulate.
 //
 // Records land in per-worker shards: each worker appends to its own shard

@@ -14,7 +14,7 @@ import (
 // through both the serial and parallel paths.
 func TestPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := Run(workers, 8, func(i int) error {
+		err := run(workers, 8, nil, func(i int) error {
 			if i == 5 {
 				panic("simulated blowup")
 			}
@@ -50,7 +50,7 @@ func TestPanicBecomesError(t *testing.T) {
 // errors under the same lowest-failing-index rule.
 func TestPanicKeepsLowestIndexSemantics(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		err := Run(8, 64, func(i int) error {
+		err := run(8, 64, nil, func(i int) error {
 			switch i {
 			case 9:
 				return fmt.Errorf("plain failure")
@@ -84,7 +84,7 @@ func TestMonitorSeesEveryCell(t *testing.T) {
 			}
 		},
 	}
-	err := RunMonitored(4, n, m, func(i int) error {
+	err := run(4, n, m, func(i int) error {
 		if i == 99 {
 			return fmt.Errorf("tail error")
 		}
@@ -118,7 +118,7 @@ func (m monitorFuncs) CellDone(cell, worker int, d time.Duration, err error) {
 func TestTimingAccounting(t *testing.T) {
 	timing := NewTiming()
 	const n = 16
-	err := RunMonitored(4, n, timing, func(i int) error {
+	err := run(4, n, timing, func(i int) error {
 		d := time.Millisecond
 		if i == 7 {
 			d = 60 * time.Millisecond
@@ -212,7 +212,7 @@ func TestTimingIdleWorkers(t *testing.T) {
 // Workers() must stay in (0, 1].
 func TestTimingIdleWorkersEngine(t *testing.T) {
 	timing := NewTiming()
-	err := RunMonitored(8, 2, timing, func(i int) error {
+	err := run(8, 2, timing, func(i int) error {
 		time.Sleep(5 * time.Millisecond)
 		return nil
 	})
@@ -265,7 +265,7 @@ func TestMonitorsCombinesAndSkipsNil(t *testing.T) {
 		done:  func(int, int, time.Duration, error) { calls.Add(1) },
 	}
 	m := Monitors(nil, count, count)
-	if err := RunMonitored(2, 3, m, func(int) error { return nil }); err != nil {
+	if err := run(2, 3, m, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2*2*3 {
@@ -279,7 +279,7 @@ func TestProgressLine(t *testing.T) {
 	var b strings.Builder
 	p := NewProgress(&b, "t3")
 	m := Monitors(p)
-	if err := RunMonitored(2, 5, m, func(i int) error {
+	if err := run(2, 5, m, func(i int) error {
 		if i == 2 {
 			return fmt.Errorf("boom")
 		}

@@ -17,7 +17,7 @@ type OnError uint8
 
 const (
 	// Abort stops claiming new cells and returns the lowest failing
-	// index's error (the legacy behavior, and the zero value).
+	// index's error (the zero value).
 	Abort OnError = iota
 	// Skip records the failure as a CellFailure hole and keeps sweeping.
 	Skip
@@ -67,8 +67,8 @@ func ParseOnError(s string) (OnError, error) {
 	return Abort, fmt.Errorf("sweep: unknown cell-error policy %q (want abort, skip, or retry)", s)
 }
 
-// Policy configures the engine's failure handling. The zero value is the
-// legacy behavior: no timeout, no retries, abort on the first error.
+// Policy configures the engine's failure handling. The zero value means
+// no timeout, no retries, abort on the first error.
 type Policy struct {
 	OnError OnError
 
@@ -196,42 +196,31 @@ func (e *engine) hole(i int, err error) {
 	e.mu.Unlock()
 }
 
-// RunContext is Run honoring a context: once ctx is canceled no new cells
-// are claimed (in-flight cells finish), and ctx.Err() is returned when
-// cancellation — rather than a cell — ended the sweep.
-func RunContext(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, _, err := MapWorkersPolicy(ctx, workers, n, nil, Policy{},
-		func(ctx context.Context, _, i int) (struct{}, error) { return struct{}{}, fn(ctx, i) })
-	return err
-}
-
-// MapContext is Map honoring a context (see RunContext).
-func MapContext[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out, _, err := MapWorkersPolicy(ctx, workers, n, nil, Policy{},
-		func(ctx context.Context, _, i int) (T, error) { return fn(ctx, i) })
-	return out, err
-}
-
-// RunWorkersPolicy is MapWorkersPolicy for cells without results.
-func RunWorkersPolicy(ctx context.Context, workers, n int, m Monitor, pol Policy, fn func(ctx context.Context, worker, i int) error) ([]CellFailure, error) {
-	_, fails, err := MapWorkersPolicy(ctx, workers, n, m, pol,
-		func(ctx context.Context, w, i int) (struct{}, error) { return struct{}{}, fn(ctx, w, i) })
-	return fails, err
-}
-
-// MapWorkersPolicy is the engine every sweep entry point runs on: it fans
-// cells [0, n) across at most workers goroutines under a context, a
-// monitor, and a failure policy.
+// MapWorkersPolicy is the sweep engine: it runs fn for every cell in
+// [0, n) across at most workers goroutines (workers < 1 selects
+// GOMAXPROCS) under a context, an optional monitor, and a failure policy,
+// and returns the results in cell order.
 //
-// The determinism contract of RunWorkersMonitored holds here too: indices
-// are claimed monotonically, each cell writes only its own slot, and an
-// aborting error is the one a serial loop would have hit — the lowest
-// failing index's. Cell failures always surface as *CellError (wrapping
-// the cause: the fn error, a *PanicError, or a *TimeoutError).
+// Determinism contract: cells are claimed in increasing order, each cell
+// writes only its own result slot, and an aborting error is the one a
+// serial loop would have returned — the lowest failing cell's. After a
+// failure no new cells are claimed, but everything already in flight
+// finishes; since claims are monotonic, every cell below the lowest
+// failure has run by then. Cell failures always surface as *CellError
+// wrapping the cause: the fn error, a *PanicError (a panicking cell is
+// recovered in its worker, never killing the process), or a
+// *TimeoutError.
 //
-// Under Policy.Skip == nil and OnError == Abort this is exactly the
-// legacy engine; Skip-policy failures come back as sorted CellFailures
-// with a nil error, and cancellation returns ctx.Err() once every
+// fn receives the worker running it, in [0, Workers(workers)). A worker
+// runs its cells strictly in sequence, so worker-indexed state (scratch
+// buffers, allocation pools) needs no locking; results must still depend
+// only on the cell, never on the worker. The monitor (nil for none) is
+// purely observational: it receives callbacks concurrently from worker
+// goroutines and must not affect cell execution.
+//
+// Under the zero Policy the first failure aborts the sweep; Skip-policy
+// failures come back as sorted CellFailures with a nil error, and
+// cancellation stops claiming cells and returns ctx.Err() once every
 // in-flight cell has drained. On a non-nil error the results are
 // discarded (nil slice).
 func MapWorkersPolicy[T any](ctx context.Context, workers, n int, m Monitor, pol Policy, fn func(ctx context.Context, worker, i int) (T, error)) ([]T, []CellFailure, error) {

@@ -29,14 +29,14 @@ func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
 	release := make(chan struct{})
-	err := RunContext(ctx, 2, 10_000, func(ctx context.Context, i int) error {
+	_, _, err := MapWorkersPolicy(ctx, 2, 10_000, nil, Policy{}, func(ctx context.Context, _, i int) (struct{}, error) {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
 			close(release) // both workers may pass the claim check once more
 		}
 		<-release
-		return nil
+		return struct{}{}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -48,10 +48,10 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestMapContextResults: the context variant still returns ordered results
-// when nothing goes wrong.
+// TestMapContextResults: a sweep under a context still returns ordered
+// results when nothing goes wrong.
 func TestMapContextResults(t *testing.T) {
-	out, err := MapContext(context.Background(), 4, 50, func(_ context.Context, i int) (int, error) {
+	out, _, err := MapWorkersPolicy(context.Background(), 4, 50, nil, Policy{}, func(_ context.Context, _, i int) (int, error) {
 		return i + 1, nil
 	})
 	if err != nil {
@@ -291,7 +291,7 @@ func (c *countingMonitor) CellRetry(cell, attempt int, err error) {
 func TestMonitorExactlyOnceUnderFailure(t *testing.T) {
 	cm := newCountingMonitor()
 	release := make(chan struct{})
-	err := RunWorkersMonitored(3, 100, cm, func(w, i int) error {
+	err := run(3, 100, cm, func(i int) error {
 		switch i {
 		case 4:
 			// Hold two siblings in flight past the failure.
@@ -343,12 +343,12 @@ func TestMonitorExactlyOnceUnderFailure(t *testing.T) {
 func TestMonitorExactlyOnceUnderCancellation(t *testing.T) {
 	cm := newCountingMonitor()
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunWorkersPolicy(ctx, 2, 1000, cm, Policy{},
-		func(ctx context.Context, w, i int) error {
+	_, _, err := MapWorkersPolicy(ctx, 2, 1000, cm, Policy{},
+		func(ctx context.Context, w, i int) (struct{}, error) {
 			if i == 1 {
 				cancel()
 			}
-			return nil
+			return struct{}{}, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
@@ -371,12 +371,12 @@ func TestRetryMonitorSeesAttempts(t *testing.T) {
 	cm := newCountingMonitor()
 	var tries atomic.Int32
 	pol := Policy{OnError: Retry, MaxAttempts: 4, sleep: func(context.Context, time.Duration) {}}
-	_, err := RunWorkersPolicy(context.Background(), 1, 3, cm, pol,
-		func(_ context.Context, _, i int) error {
+	_, _, err := MapWorkersPolicy(context.Background(), 1, 3, cm, pol,
+		func(_ context.Context, _, i int) (struct{}, error) {
 			if i == 1 && tries.Add(1) < 3 {
-				return errors.New("flaky")
+				return struct{}{}, errors.New("flaky")
 			}
-			return nil
+			return struct{}{}, nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -394,11 +394,11 @@ func TestRetryMonitorSeesAttempts(t *testing.T) {
 	}
 }
 
-// TestLegacyEntryPointsWrapErrors pins the satellite fix: the legacy
-// Run/Map family now reports failures as *CellError too.
+// TestLegacyEntryPointsWrapErrors pins that a failing cell under the zero
+// Policy — the form the old Run/Map family wrapped — reports *CellError.
 func TestLegacyEntryPointsWrapErrors(t *testing.T) {
 	cause := errors.New("cause")
-	_, err := Map(2, 8, func(i int) (int, error) {
+	_, _, err := MapWorkersPolicy(context.Background(), 2, 8, nil, Policy{}, func(_ context.Context, _, i int) (int, error) {
 		if i == 6 {
 			return 0, cause
 		}
@@ -406,7 +406,7 @@ func TestLegacyEntryPointsWrapErrors(t *testing.T) {
 	})
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Cell != 6 || !errors.Is(err, cause) {
-		t.Fatalf("Map error = %v, want cell 6's *CellError wrapping the cause", err)
+		t.Fatalf("error = %v, want cell 6's *CellError wrapping the cause", err)
 	}
 }
 

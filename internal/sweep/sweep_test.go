@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -21,9 +22,18 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// run is the result-less form of MapWorkersPolicy most tests drive:
+// background context, the zero Policy, cells that ignore their worker.
+func run(workers, n int, m Monitor, fn func(i int) error) error {
+	_, _, err := MapWorkersPolicy(context.Background(), workers, n, m, Policy{},
+		func(_ context.Context, _, i int) (struct{}, error) { return struct{}{}, fn(i) })
+	return err
+}
+
 func TestMapOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(workers, 100, func(i int) (int, error) { return i * i, nil })
+		out, _, err := MapWorkersPolicy(context.Background(), workers, 100, nil, Policy{},
+			func(_ context.Context, _, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,14 +49,14 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	if err := Run(4, 0, func(int) error { t.Error("called"); return nil }); err != nil {
+	if err := run(4, 0, nil, func(int) error { t.Error("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRunsEveryIndexOnce(t *testing.T) {
 	var ran [257]atomic.Int32
-	if err := Run(8, len(ran), func(i int) error { ran[i].Add(1); return nil }); err != nil {
+	if err := run(8, len(ran), nil, func(i int) error { ran[i].Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ran {
@@ -59,7 +69,7 @@ func TestRunRunsEveryIndexOnce(t *testing.T) {
 func TestRunBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	err := Run(workers, 50, func(i int) error {
+	err := run(workers, 50, nil, func(i int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -92,7 +102,7 @@ func TestRunErrorIsLowestIndex(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		for trial := 0; trial < 20; trial++ {
-			err := Run(workers, 64, boom)
+			err := run(workers, 64, nil, boom)
 			var ce *CellError
 			if !errors.As(err, &ce) || ce.Cell != 13 {
 				t.Fatalf("workers=%d: err = %v, want cell 13's *CellError", workers, err)
@@ -107,13 +117,13 @@ func TestRunErrorIsLowestIndex(t *testing.T) {
 	}
 }
 
-// TestMapWorkersMonitored checks the worker-aware variant: worker ids stay
-// in range, each worker's cells run sequentially (worker-indexed state
+// TestMapWorkersMonitored checks the worker index cells receive: worker ids
+// stay in range, each worker's cells run sequentially (worker-indexed state
 // needs no locking), and results are still keyed by cell index.
 func TestMapWorkersMonitored(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		busy := make([]atomic.Int32, workers)
-		out, err := MapWorkersMonitored(workers, 200, nil, func(w, i int) (int, error) {
+		out, _, err := MapWorkersPolicy(context.Background(), workers, 200, nil, Policy{}, func(_ context.Context, w, i int) (int, error) {
 			if w < 0 || w >= workers {
 				return 0, fmt.Errorf("cell %d: worker %d out of range [0,%d)", i, w, workers)
 			}
@@ -138,7 +148,7 @@ func TestMapWorkersMonitored(t *testing.T) {
 func TestRunStopsClaimingAfterFailure(t *testing.T) {
 	sentinel := errors.New("stop")
 	var after atomic.Int32
-	err := Run(2, 10_000, func(i int) error {
+	err := run(2, 10_000, nil, func(i int) error {
 		if i == 0 {
 			time.Sleep(5 * time.Millisecond) // let the flag propagate
 			return sentinel
@@ -166,7 +176,9 @@ func TestMapWorkersStats(t *testing.T) {
 	for _, tc := range []struct{ workers, n int }{
 		{1, 32}, {4, 32}, {8, 3}, // last: more workers than cells
 	} {
-		out, ws, err := MapWorkersStats(tc.workers, tc.n, nil, func(w, i int) (int, error) {
+		var ws []WorkerStats
+		pol := Policy{OnWorkerStats: func(s []WorkerStats) { ws = s }}
+		out, _, err := MapWorkersPolicy(context.Background(), tc.workers, tc.n, nil, pol, func(_ context.Context, w, i int) (int, error) {
 			time.Sleep(time.Millisecond)
 			return i, nil
 		})
