@@ -48,25 +48,37 @@ var cleanRun = sync.OnceValues(func() ([]byte, error) {
 
 var update = flag.Bool("update", false, "rewrite the golden tables from this build's output")
 
-// TestTablesMatchGolden holds the simulator to a fixed point: a clean
-// e2eArgs run must print exactly the committed tables. An intended result
-// change regenerates them with -update, so the golden diff shows what
-// moved.
+// TestTablesMatchGolden holds the simulator to fixed points: a clean
+// e2eArgs run, and the same suite measured after a fast-forward warm-up,
+// must print exactly the committed tables. An intended result change
+// regenerates them with -update, so the golden diff shows what moved.
 func TestTablesMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	const golden = "testdata/exp-all-go-li-60k.golden"
-	got, err := cleanRun()
-	if err == nil && *update {
-		err = os.WriteFile(golden, got, 0o644)
-	}
-	want, rerr := os.ReadFile(golden)
-	if err != nil || rerr != nil {
-		t.Fatal(err, rerr)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("tables differ from %s (rerun with -update if intended):\n%s", golden, got)
+	for _, tc := range []struct {
+		golden string
+		run    func() ([]byte, error)
+	}{
+		{"exp-all-go-li-60k", cleanRun},
+		{"exp-all-go-li-20k-warm200k", func() ([]byte, error) {
+			return rasbench(t, "-exp", "all", "-insts", "20000", "-warmup", "200000", "-bench", "go,li").Output()
+		}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			golden := filepath.Join("testdata", tc.golden+".golden")
+			got, err := tc.run()
+			if err == nil && *update {
+				err = os.WriteFile(golden, got, 0o644)
+			}
+			want, rerr := os.ReadFile(golden)
+			if err != nil || rerr != nil {
+				t.Fatal(err, rerr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("tables differ from %s (rerun with -update if intended):\n%s", golden, got)
+			}
+		})
 	}
 }
 
