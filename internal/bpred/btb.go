@@ -52,6 +52,46 @@ func (b *BTB) Release(pool *BTBPool) {
 	b.entries = nil
 }
 
+// BTBSnapshot is a compact copy of a BTB's state: the entries in use, by
+// index, plus the LRU clock and the statistics. Restoring those entries
+// into a BTB whose entries are all zero (as NewBTB leaves them) rebuilds
+// the whole array exactly.
+type BTBSnapshot struct {
+	sets, ways int
+	entries    []savedEntry
+	clock      uint64
+	stats      BTBStats
+}
+
+// savedEntry is one in-use entry of a BTBSnapshot.
+type savedEntry struct {
+	index int32
+	entry btbEntry
+}
+
+// Snapshot captures the BTB's state.
+func (b *BTB) Snapshot() BTBSnapshot {
+	sn := BTBSnapshot{sets: b.sets, ways: b.ways, clock: b.clock, stats: b.Stats}
+	for i, e := range b.entries {
+		if e != (btbEntry{}) {
+			sn.entries = append(sn.entries, savedEntry{int32(i), e})
+		}
+	}
+	return sn
+}
+
+// LoadSnapshot gives a freshly built BTB of the snapshot's geometry the
+// snapshot's state.
+func (b *BTB) LoadSnapshot(sn *BTBSnapshot) {
+	if b.sets != sn.sets || b.ways != sn.ways {
+		panic("bpred: BTB snapshot geometry mismatch")
+	}
+	for _, se := range sn.entries {
+		b.entries[se.index] = se.entry
+	}
+	b.clock, b.Stats = sn.clock, sn.stats
+}
+
 // set returns the ways of the set pc maps to.
 func (b *BTB) set(pc uint32) []btbEntry {
 	base := int((pc>>2)&uint32(b.sets-1)) * b.ways

@@ -1,5 +1,7 @@
 package bpred
 
+import "slices"
+
 // Confidence is a JRS-style confidence estimator (Jacobsen, Rotenberg &
 // Smith): a table of resetting counters indexed by branch PC. A correct
 // prediction increments the branch's counter (saturating); a misprediction
@@ -33,6 +35,29 @@ func NewConfidence(sizeBits, counterBits uint, threshold uint8) *Confidence {
 func NewDefaultConfidence() *Confidence { return NewConfidence(10, 4, 8) }
 
 func (c *Confidence) index(pc uint32) uint32 { return pc >> 2 }
+
+// ConfidenceSnapshot is an estimator's trained state: its counters and
+// statistics, without the threshold, which belongs to the machine that
+// reads the counters.
+type ConfidenceSnapshot struct {
+	counters []uint8
+	stats    ConfidenceStats
+}
+
+// Snapshot captures the estimator's trained state.
+func (c *Confidence) Snapshot() ConfidenceSnapshot {
+	return ConfidenceSnapshot{slices.Clone(c.table.counters), c.Stats}
+}
+
+// LoadSnapshot gives an estimator of the snapshot's size the snapshot's
+// state; its own threshold is kept.
+func (c *Confidence) LoadSnapshot(sn *ConfidenceSnapshot) {
+	if len(c.table.counters) != len(sn.counters) {
+		panic("bpred: confidence snapshot size mismatch")
+	}
+	copy(c.table.counters, sn.counters)
+	c.Stats = sn.stats
+}
 
 // High reports whether the branch at pc is predicted with high confidence.
 func (c *Confidence) High(pc uint32) bool {

@@ -44,6 +44,15 @@ func NewCounterTableInit(size int, bits uint, init uint8) *CounterTable {
 	return t
 }
 
+// CopyFrom overwrites t's counters with src's; the tables must be the
+// same size and width.
+func (t *CounterTable) CopyFrom(src *CounterTable) {
+	if len(t.counters) != len(src.counters) || t.max != src.max {
+		panic("bpred: counter table shape mismatch")
+	}
+	copy(t.counters, src.counters)
+}
+
 // Size returns the number of entries.
 func (t *CounterTable) Size() int { return len(t.counters) }
 

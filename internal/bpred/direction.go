@@ -116,6 +116,20 @@ func NewHybridSized(gagHistBits uint, pagEntries int, pagHistBits uint, selector
 	}
 }
 
+// CopyFrom gives h the trained state and statistics of src, a hybrid of
+// the same geometry.
+func (h *Hybrid) CopyFrom(src *Hybrid) {
+	if len(h.pag.lht) != len(src.pag.lht) {
+		panic("bpred: hybrid geometry mismatch")
+	}
+	h.gag.hist = src.gag.hist
+	h.gag.pht.CopyFrom(src.gag.pht)
+	copy(h.pag.lht, src.pag.lht)
+	h.pag.pht.CopyFrom(src.pag.pht)
+	h.selector.CopyFrom(src.selector)
+	h.Stats = src.Stats
+}
+
 // Predict implements DirectionPredictor.
 func (h *Hybrid) Predict(pc uint32) bool {
 	if h.selector.Taken(h.gag.History()) {

@@ -16,6 +16,9 @@ func NewBimodal(size int) *Bimodal {
 	return &Bimodal{pht: NewCounterTable(size, 2)}
 }
 
+// CopyFrom gives b the trained state of src, a bimodal of the same size.
+func (b *Bimodal) CopyFrom(src *Bimodal) { b.pht.CopyFrom(src.pht) }
+
 // Predict implements DirectionPredictor.
 func (b *Bimodal) Predict(pc uint32) bool { return b.pht.Taken(pc >> 2) }
 
@@ -39,6 +42,12 @@ func NewGShare(histBits uint) *GShare {
 }
 
 func (g *GShare) index(pc uint32) uint32 { return (pc >> 2 & g.histMask) ^ g.hist }
+
+// CopyFrom gives g the trained state of src, a gshare of the same size.
+func (g *GShare) CopyFrom(src *GShare) {
+	g.hist = src.hist
+	g.pht.CopyFrom(src.pht)
+}
 
 // Predict implements DirectionPredictor.
 func (g *GShare) Predict(pc uint32) bool { return g.pht.Taken(g.index(pc)) }

@@ -195,6 +195,47 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	return latency
 }
 
+// Snapshot is a compact copy of a cache's state: the lines in use, by
+// index, plus the LRU clock and the statistics. A cache warmed by a few
+// million instructions uses a few dozen of its thousands of lines, and
+// restoring those into a cache whose lines are all zero (as New leaves
+// them) rebuilds the whole array exactly.
+type Snapshot struct {
+	sets, ways int
+	lines      []savedLine
+	clock      uint64
+	stats      Stats
+}
+
+// savedLine is one in-use line of a Snapshot.
+type savedLine struct {
+	index int32
+	line  line
+}
+
+// Snapshot captures the cache's state.
+func (c *Cache) Snapshot() Snapshot {
+	sn := Snapshot{sets: c.sets, ways: c.ways, clock: c.clock, stats: c.stats}
+	for i, l := range c.lines {
+		if l != (line{}) {
+			sn.lines = append(sn.lines, savedLine{int32(i), l})
+		}
+	}
+	return sn
+}
+
+// LoadSnapshot gives a freshly built cache of the snapshot's geometry the
+// snapshot's state. Its name, latency and next level are its own.
+func (c *Cache) LoadSnapshot(sn *Snapshot) {
+	if c.sets != sn.sets || c.ways != sn.ways {
+		panic("cache: snapshot geometry mismatch")
+	}
+	for _, sl := range sn.lines {
+		c.lines[sl.index] = sl.line
+	}
+	c.clock, c.stats = sn.clock, sn.stats
+}
+
 // Hierarchy is the baseline two-level organization.
 type Hierarchy struct {
 	L1I *Cache
@@ -220,6 +261,27 @@ func NewHierarchy(cfg HierarchyConfig, pool *Pool) *Hierarchy {
 		L2:  l2,
 		Mem: mem,
 	}
+}
+
+// HierarchySnapshot is a compact copy of every level's state (see
+// Snapshot), main memory's access count included.
+type HierarchySnapshot struct {
+	l1i, l1d, l2 Snapshot
+	memAccesses  uint64
+}
+
+// Snapshot captures every level's state.
+func (h *Hierarchy) Snapshot() HierarchySnapshot {
+	return HierarchySnapshot{h.L1I.Snapshot(), h.L1D.Snapshot(), h.L2.Snapshot(), h.Mem.Accesses}
+}
+
+// LoadSnapshot gives a freshly built hierarchy of the snapshot's geometry
+// the snapshot's state.
+func (h *Hierarchy) LoadSnapshot(sn *HierarchySnapshot) {
+	h.L1I.LoadSnapshot(&sn.l1i)
+	h.L1D.LoadSnapshot(&sn.l1d)
+	h.L2.LoadSnapshot(&sn.l2)
+	h.Mem.Accesses = sn.memAccesses
 }
 
 // Release returns the hierarchy's line arrays to pool. Its statistics and

@@ -26,7 +26,10 @@
 // cross-path contention entirely.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RepairPolicy selects what a checkpoint captures and a restore repairs.
 type RepairPolicy uint8
@@ -287,6 +290,21 @@ func (s *Stack) Clone() *Stack {
 	}
 	copy(n.entries, s.entries)
 	return n
+}
+
+// Snapshot implements ReturnStack. A top-K stack takes its snapshot
+// through this method too: K is configuration, not state.
+func (s *Stack) Snapshot() Snapshot {
+	return Snapshot{entries: slices.Clone(s.entries), tos: s.tos, depth: s.depth, stats: s.stats}
+}
+
+// LoadSnapshot implements ReturnStack, keeping the stack's own policy.
+func (s *Stack) LoadSnapshot(sn *Snapshot) {
+	if len(sn.entries) != len(s.entries) || sn.links != nil || sn.seqs != nil {
+		panic(snapshotMismatch)
+	}
+	copy(s.entries, sn.entries)
+	s.tos, s.depth, s.stats = sn.tos, sn.depth, sn.stats
 }
 
 // CopyFrom overwrites this stack's contents with src's (sizes must match),

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // ReturnStack is the interface the fetch engine uses, satisfied by both the
 // conventional circular Stack and the LinkedStack variant.
 type ReturnStack interface {
@@ -11,7 +13,29 @@ type ReturnStack interface {
 	Size() int
 	Depth() int
 	CloneStack() ReturnStack
+	Snapshot() Snapshot
+	LoadSnapshot(sn *Snapshot)
 }
+
+// Snapshot is a return stack's contents, pointers and counters, without
+// its configuration: a circular stack's repair policy and a top-K stack's
+// K belong to the stack that loads the snapshot, which must be of the
+// same kind and size. Fast-forward never reads either, so one snapshot
+// taken after a warm-up serves every repair policy under study.
+type Snapshot struct {
+	entries []uint32
+	links   []linkedEntry // linked stack only
+	seqs    []uint64      // tagged stack only
+	valid   []bool        // tagged stack only
+	tos     int
+	next    int32 // linked stack only
+	depth   int
+	stats   Stats
+}
+
+// snapshotMismatch is the panic for loading a snapshot into a stack of
+// another kind or size: the caller's configuration key is broken.
+const snapshotMismatch = "core: stack snapshot of another kind or size"
 
 // CloneStack implements ReturnStack.
 func (s *Stack) CloneStack() ReturnStack { return s.Clone() }
@@ -120,6 +144,20 @@ func (ls *LinkedStack) Restore(c *Checkpoint) {
 	// ls.next deliberately keeps advancing: wrong-path pushes consumed
 	// fresh slots, so the restored chain's entries were never overwritten
 	// (unless allocation wrapped all the way around).
+}
+
+// Snapshot implements ReturnStack.
+func (ls *LinkedStack) Snapshot() Snapshot {
+	return Snapshot{links: slices.Clone(ls.entries), tos: int(ls.tos), next: ls.next, depth: ls.depth, stats: ls.stats}
+}
+
+// LoadSnapshot implements ReturnStack.
+func (ls *LinkedStack) LoadSnapshot(sn *Snapshot) {
+	if len(sn.links) != len(ls.entries) {
+		panic(snapshotMismatch)
+	}
+	copy(ls.entries, sn.links)
+	ls.tos, ls.next, ls.depth, ls.stats = int32(sn.tos), sn.next, sn.depth, sn.stats
 }
 
 // CloneStack implements ReturnStack.

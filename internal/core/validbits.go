@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // TaggedStack models the Pentium MMX / Pentium II valid-bits repair the
 // paper describes: "a repair mechanism which uses valid bits to detect
 // corrupted entries. Valid bits require identifiers for each in-flight
@@ -110,6 +112,23 @@ func (s *TaggedStack) SaveInto(c *Checkpoint) { c.valid = false }
 // Restore implements ReturnStack: a no-op (repair happens via
 // InvalidateAfter).
 func (s *TaggedStack) Restore(c *Checkpoint) {}
+
+// Snapshot implements ReturnStack.
+func (s *TaggedStack) Snapshot() Snapshot {
+	return Snapshot{entries: slices.Clone(s.entries), seqs: slices.Clone(s.seqs), valid: slices.Clone(s.valid),
+		tos: s.tos, depth: s.depth, stats: s.stats}
+}
+
+// LoadSnapshot implements ReturnStack.
+func (s *TaggedStack) LoadSnapshot(sn *Snapshot) {
+	if len(sn.entries) != len(s.entries) || len(sn.seqs) != len(s.seqs) {
+		panic(snapshotMismatch)
+	}
+	copy(s.entries, sn.entries)
+	copy(s.seqs, sn.seqs)
+	copy(s.valid, sn.valid)
+	s.tos, s.depth, s.stats = sn.tos, sn.depth, sn.stats
+}
 
 // CloneStack implements ReturnStack.
 func (s *TaggedStack) CloneStack() ReturnStack {

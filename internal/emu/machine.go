@@ -3,6 +3,7 @@ package emu
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"retstack/internal/isa"
@@ -90,6 +91,22 @@ func (m *Machine) Load(im *program.Image) {
 	m.PC = im.Entry
 	m.Regs[isa.SP] = program.DefaultStackTop
 	m.Regs[isa.GP] = program.DefaultGPBase
+}
+
+// Clone returns an independent copy of the machine: registers, memory,
+// output, and every counter. Data pages are copied outright; the code
+// region stays shared with the image copy-on-write, as Load leaves it, or
+// is copied when a store has already made it private. The predecode plane
+// is shared read-only. The pipeline starts each warm cell from a clone of
+// one fast-forwarded machine.
+func (m *Machine) Clone() *Machine {
+	c := *m
+	c.Mem = m.Mem.clone()
+	c.output = bytes.Buffer{}
+	c.output.Write(m.output.Bytes())
+	c.blockSeen = slices.Clone(m.blockSeen)
+	c.DepthHist = m.DepthHist.Clone()
+	return &c
 }
 
 // DisablePredecode detaches the predecode plane, forcing every FetchInst

@@ -5,6 +5,8 @@
 // disturbing architectural state.
 package emu
 
+import "slices"
+
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
@@ -57,6 +59,25 @@ func (m *Memory) SetCodeRegion(base uint32, data []byte) {
 	m.code = data
 	m.codeShared = true
 	m.codeDirty = false
+}
+
+// clone returns an independent copy of the memory. Every data page is
+// copied; a still-shared code region stays shared (the copy clones it on
+// its first store), while a private one is copied.
+func (m *Memory) clone() *Memory {
+	c := *m
+	c.pages = make(map[uint32]*[pageSize]byte, len(m.pages))
+	for k, p := range m.pages {
+		q := *p
+		c.pages[k] = &q
+	}
+	if !m.codeShared {
+		c.code = slices.Clone(m.code)
+	}
+	if m.lastKey != 0 {
+		c.lastPage = c.pages[m.lastKey-1]
+	}
+	return &c
 }
 
 // CodeDirty reports whether any store has hit the code region since

@@ -13,6 +13,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"retstack/internal/config"
@@ -303,7 +304,10 @@ type workloadProfile struct {
 //     callbacks), and misses simulate under the store's singleflight and
 //     are fsynced before they count as done — so a rerun of an
 //     interrupted sweep picks up every cell that finished.
-func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (cellOut, error)) ([]cellOut, error) {
+//
+// prepare, when non-nil, runs after the store lookups and before the
+// sweep, with the indices of the cells that missed the store in order.
+func runCells(p Params, n int, prepare func(pending []int) error, body func(ctx context.Context, worker, i int) (cellOut, error)) ([]cellOut, error) {
 	if p.Store != nil && p.Inject != nil {
 		return nil, fmt.Errorf("%s: the result store cannot be combined with fault injection: injected cells would poison the cache", p.expID)
 	}
@@ -330,6 +334,17 @@ func runCells(p Params, n int, body func(ctx context.Context, worker, i int) (ce
 			if p.OnStoreHit != nil {
 				p.OnStoreHit(p.expID, i, false)
 			}
+		}
+	}
+	if prepare != nil {
+		pending := make([]int, 0, n-len(spliced))
+		for i := 0; i < n; i++ {
+			if _, ok := spliced[i]; !ok {
+				pending = append(pending, i)
+			}
+		}
+		if err := prepare(pending); err != nil {
+			return nil, err
 		}
 	}
 	pol := sweep.Policy{
@@ -424,10 +439,15 @@ func (p Params) storeCell(ctx context.Context, key string, cell int, body func()
 //
 // Each distinct workload's image is built (and predecoded) exactly once
 // and shared read-only by every cell that runs it — machines copy code
-// pages on write, so sharing is invisible to results. Each worker owns a
+// pages on write, so sharing is invisible to results. With a warm-up,
+// each distinct warm state is likewise built once (see warmCells) and
+// every cell starts from a copy of it. Each worker owns a
 // pipeline.Recycler so consecutive cells on that worker reuse the big
 // simulator allocations.
 func runSims(p Params, cells []simCell) ([]cellOut, error) {
+	if onSims != nil {
+		onSims(cells)
+	}
 	ws := make([]workloads.Workload, len(cells))
 	for i, c := range cells {
 		ws[i] = c.w
@@ -437,16 +457,101 @@ func runSims(p Params, cells []simCell) ([]cellOut, error) {
 		return nil, err
 	}
 	rec := p.newRecyclers()
-	return runCells(p, len(cells), func(ctx context.Context, worker, i int) (out cellOut, err error) {
+	var warm []warmed // per cell; nil without a warm-up
+	var prepare func([]int) error
+	if p.Warmup > 0 {
+		prepare = func(pending []int) (err error) {
+			warm, err = p.warmCells(cells, pending, ims, rec)
+			return err
+		}
+	}
+	return runCells(p, len(cells), prepare, func(ctx context.Context, worker, i int) (out cellOut, err error) {
 		p.doCell(ctx, i, func() {
+			c := cells[i]
+			var from *pipeline.WarmState
+			if warm != nil {
+				if err = warm[i].err; err != nil {
+					err = fmt.Errorf("%s: %w", c.w.Name, err)
+					return
+				}
+				from = warm[i].state
+			}
 			var sim *pipeline.Sim
-			sim, err = simulateCell(i, cells[i].w, ims[cells[i].w.Name], cells[i].cfg, p, rec.of(worker))
+			sim, err = simulateCell(i, c.w, ims[c.w.Name], c.cfg, p, rec.of(worker), from)
 			if err == nil {
 				out = cellOut{Sim: sim.Stats()}
 			}
 		})
 		return out, err
 	})
+}
+
+// onSims, when set, sees the cells of every runSims call before they
+// run: the tests that must cover every runner's configurations enumerate
+// them through it.
+var onSims func([]simCell)
+
+// warmed is one cell's warm start: the shared state it copies, or the
+// error building that state gave, which fails the cell as its own
+// fast-forward would have.
+type warmed struct {
+	state *pipeline.WarmState
+	err   error
+}
+
+// warmStatesBuilt counts the warm states warmCells builds, for the tests
+// that pin how many fast-forwards a sweep runs.
+var warmStatesBuilt atomic.Int64
+
+// warmCells is the sweep's warm phase. It runs after the store lookups,
+// over the pending cells only, so a warm rerun pays for no fast-forward it
+// would discard. Cells whose workload and pipeline.WarmKey agree reach the
+// same state after the fast-forward, so each distinct pair is
+// fast-forwarded once, in parallel over pairs as buildImages builds
+// images, on the worker's own Recycler and under the pprof labels
+// experiment and phase=warm. The states live until runSims returns; they
+// are never kept across experiments, where a memo would turn repeated
+// sweeps into lookups. SMT cells get no state: FastForward refuses
+// multi-thread machines, so they measure from reset.
+func (p Params) warmCells(cells []simCell, pending []int, ims map[string]*program.Image, rec recyclers) ([]warmed, error) {
+	type warmKey struct {
+		workload string
+		cfg      pipeline.WarmKey
+	}
+	index := map[warmKey]int{}
+	var groups [][]int // the pending single-thread cells of each key
+	for _, i := range pending {
+		c := cells[i]
+		if c.cfg.SMTThreads > 1 {
+			continue
+		}
+		k := warmKey{c.w.Name, pipeline.WarmKeyOf(c.cfg)}
+		j, ok := index[k]
+		if !ok {
+			j = len(groups)
+			index[k] = j
+			groups = append(groups, nil)
+		}
+		groups[j] = append(groups[j], i)
+	}
+	built, _, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), len(groups), nil, sweep.Policy{}, func(ctx context.Context, worker, j int) (w warmed, _ error) {
+		pprof.Do(ctx, pprof.Labels("experiment", p.expID, "phase", "warm"), func(context.Context) {
+			c := cells[groups[j][0]]
+			w.state, w.err = pipeline.Warm(c.cfg, ims[c.w.Name], p.Warmup, rec.of(worker))
+		})
+		warmStatesBuilt.Add(1)
+		return w, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]warmed, len(cells))
+	for j, g := range groups {
+		for _, i := range g {
+			out[i] = built[j]
+		}
+	}
+	return out, nil
 }
 
 // workers resolves Params.Parallel to a concrete worker count.
@@ -539,19 +644,35 @@ func (r recyclers) of(worker int) *pipeline.Recycler {
 }
 
 // simulateCell runs one sweep cell on a prebuilt shared image (on every
-// thread, under SMT): it attaches the params' cycle sampler (tagged with
-// the cell index), tracer and disturber, honors the warmup fast-forward
-// (single-thread cells only: FastForward refuses SMT, so SMT cells measure
-// from reset), runs to the budget, and returns the Sim (with its
-// bulk storage released back to the worker's pool — stats, machines and
-// predictors remain readable).
-func simulateCell(cell int, w workloads.Workload, im *program.Image, cfg config.Config, p Params, r *pipeline.Recycler) (*pipeline.Sim, error) {
-	sim, err := pipeline.NewWithRecycler(cfg, im, r)
+// thread, under SMT): it starts from the warm state from, or from reset
+// when from is nil, attaches the params' cycle sampler (tagged with the
+// cell index), tracer and disturber, runs to the budget, and returns the
+// Sim (with its bulk storage released back to the worker's pool — stats,
+// machines and predictors remain readable).
+func simulateCell(cell int, w workloads.Workload, im *program.Image, cfg config.Config, p Params, r *pipeline.Recycler, from *pipeline.WarmState) (*pipeline.Sim, error) {
+	var sim *pipeline.Sim
+	var err error
+	if from != nil {
+		sim, err = pipeline.NewFromWarm(cfg, im, from, r)
+	} else {
+		sim, err = pipeline.NewWithRecycler(cfg, im, r)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	if p.Sample != nil {
-		sim.SetSampler(p.SampleEvery, func(sm pipeline.Sample) { p.Sample(cell, sm) })
+		first := true
+		sim.SetSampler(p.SampleEvery, func(sm pipeline.Sample) {
+			if first {
+				// The machine counters' first deltas count from reset, as
+				// they do when a sampler is attached before FastForward,
+				// also for a cell started from a warm state.
+				first = false
+				sm.NewPredecodeHits, sm.NewPredecodeFallbacks = sm.PredecodeHits, sm.PredecodeFallbacks
+				sm.NewBlockHits, sm.NewBlockBuilds, sm.NewBlockInvalidations = sm.BlockHits, sm.BlockBuilds, sm.BlockInvalidations
+			}
+			p.Sample(cell, sm)
+		})
 	}
 	finishTrace, err := p.attachTrace(sim, cell, cfg.RASEntries)
 	if err != nil {
@@ -559,12 +680,6 @@ func simulateCell(cell int, w workloads.Workload, im *program.Image, cfg config.
 	}
 	if every, addr, ok := p.Inject.Disturb(p.expID, cell); ok {
 		sim.SetDisturber(every, addr)
-	}
-	if p.Warmup > 0 && cfg.SMTThreads <= 1 {
-		if _, err := sim.FastForward(p.Warmup); err != nil {
-			finishTrace(false)
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
 	}
 	if err := sim.Run(p.InstBudget); err != nil {
 		finishTrace(false)

@@ -8,13 +8,17 @@ import (
 // running an experiment with any worker count must produce bit-identical
 // structured values and rendered tables. t3 covers the plain simCell path
 // (workloads x repair policies); f2 covers a depth sweep whose cells share
-// a workload but differ in configuration.
+// a workload but differ in configuration; t3 after a warm-up has four
+// workers start cells from each shared warm state at once.
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, id := range []string{"t3", "f2"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, id string
+		warmup   uint64
+	}{{"t3", "t3", 0}, {"f2", "f2", 0}, {"t3-warmup", "t3", 20_000}} {
+		id := tc.id
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			serial := Params{InstBudget: 20_000, Workloads: []string{"go", "li"}, Parallel: 1}
+			serial := Params{InstBudget: 20_000, Warmup: tc.warmup, Workloads: []string{"go", "li"}, Parallel: 1}
 			par := serial
 			par.Parallel = 4
 

@@ -49,20 +49,34 @@ func (m *countingMonitor) CellDone(cell, worker int, d time.Duration, err error)
 // interrupted run resumes by rerunning against the same store. t2 rides
 // along because its cells carry the functional profile as well as the
 // simulation stats, and both must round-trip through a stored record.
+// With a warm-up, t3 over the eight workloads fast-forwards once per
+// workload, and only for cells the store lacks: the cold run builds 8
+// warm states and the warm rerun none.
 func TestStoreMatchesUncached(t *testing.T) {
 	for _, tc := range []struct {
-		exp   string
-		cells uint64
-	}{{"t3", 8}, {"t2", 2}} {
-		t.Run(tc.exp, func(t *testing.T) {
-			uncached, err := Run(tc.exp, storeParams(nil, ""))
+		name, exp string
+		cells     uint64
+		warm      int64 // warm states a cold run builds
+		params    func(*resultstore.Store, string) Params
+	}{
+		{"t3", "t3", 8, 0, storeParams},
+		{"t2", "t2", 2, 0, storeParams},
+		{"t3-warmup", "t3", 32, 8, func(st *resultstore.Store, scope string) Params {
+			p := storeParams(st, scope)
+			p.InstBudget, p.Warmup, p.Workloads = 3_000, 20_000, nil
+			return p
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			uncached, err := Run(tc.exp, tc.params(nil, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			dir := t.TempDir()
 			cold := openStore(t, dir)
-			res, err := Run(tc.exp, storeParams(cold, "scopeA"))
+			built := warmStatesBuilt.Load()
+			res, err := Run(tc.exp, tc.params(cold, "scopeA"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,14 +86,18 @@ func TestStoreMatchesUncached(t *testing.T) {
 			if s := cold.Stats(); s.Hits != 0 || s.Misses != tc.cells || s.Puts != tc.cells {
 				t.Errorf("cold stats = %+v, want 0 hits, %d misses, %d puts", s, tc.cells, tc.cells)
 			}
+			if n := warmStatesBuilt.Load() - built; n != tc.warm {
+				t.Errorf("cold run built %d warm states, want %d", n, tc.warm)
+			}
 			if err := cold.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			warm := openStore(t, dir)
 			mon := &countingMonitor{}
-			p := storeParams(warm, "scopeA")
+			p := tc.params(warm, "scopeA")
 			p.Monitor = mon
+			built = warmStatesBuilt.Load()
 			res, err = Run(tc.exp, p)
 			if err != nil {
 				t.Fatal(err)
@@ -92,6 +110,9 @@ func TestStoreMatchesUncached(t *testing.T) {
 			}
 			if mon.starts != 0 {
 				t.Errorf("warm run started %d cells in the engine, want 0 (all spliced)", mon.starts)
+			}
+			if n := warmStatesBuilt.Load() - built; n != 0 {
+				t.Errorf("warm run built %d warm states, want 0", n)
 			}
 		})
 	}

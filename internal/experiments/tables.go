@@ -7,6 +7,7 @@ import (
 	"retstack/internal/config"
 	"retstack/internal/core"
 	"retstack/internal/emu"
+	"retstack/internal/pipeline"
 	"retstack/internal/stats"
 )
 
@@ -40,7 +41,7 @@ func runT2(p Params) (*Result, error) {
 		return nil, err
 	}
 	rec := p.newRecyclers()
-	cells, err := runCells(p, len(ws), func(ctx context.Context, worker, i int) (out cellOut, err error) {
+	cells, err := runCells(p, len(ws), nil, func(ctx context.Context, worker, i int) (out cellOut, err error) {
 		p.doCell(ctx, i, func() {
 			w := ws[i]
 			m := emu.NewMachine()
@@ -49,8 +50,15 @@ func runT2(p Params) (*Result, error) {
 				err = fmt.Errorf("%s: %w", w.Name, err2)
 				return
 			}
-			sim, err2 := simulateCell(i, w, ims[w.Name],
-				config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), p, rec.of(worker))
+			cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
+			var from *pipeline.WarmState
+			if p.Warmup > 0 {
+				if from, err = pipeline.Warm(cfg, ims[w.Name], p.Warmup, rec.of(worker)); err != nil {
+					err = fmt.Errorf("%s: %w", w.Name, err)
+					return
+				}
+			}
+			sim, err2 := simulateCell(i, w, ims[w.Name], cfg, p, rec.of(worker), from)
 			if err2 != nil {
 				err = err2
 				return

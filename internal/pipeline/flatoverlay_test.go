@@ -70,13 +70,13 @@ func TestOverlayPoolRecycles(t *testing.T) {
 	if st.Forks == 0 || st.PathsSquashed == 0 {
 		t.Fatalf("workload forked %d / squashed %d paths; test is vacuous", st.Forks, st.PathsSquashed)
 	}
-	if st.OverlayReuses == 0 {
+	if s.overlayReuses == 0 {
 		t.Error("no overlay was ever served from the pool")
 	}
 	// Every fork after the pool primes should hit it; allow the first few
 	// forks (one per concurrently-live path) to allocate.
-	if st.OverlayReuses+uint64(s.cfg.MaxPaths) < st.Forks {
-		t.Errorf("only %d of %d forks reused a pooled overlay", st.OverlayReuses, st.Forks)
+	if s.overlayReuses+uint64(s.cfg.MaxPaths) < st.Forks {
+		t.Errorf("only %d of %d forks reused a pooled overlay", s.overlayReuses, st.Forks)
 	}
 }
 

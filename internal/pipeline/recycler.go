@@ -81,7 +81,7 @@ func (s *Sim) Release(r *Recycler) {
 	s.ruu, s.fetchQ, s.cpFree = nil, nil, nil
 	// Harvest flat overlays still attached to live paths along with the
 	// Sim's own free list, detaching the spill counters that point into
-	// this Sim's stats.
+	// this Sim.
 	for i := range s.paths {
 		if o := s.paths[i].overlay; o != nil {
 			o.SetSpillCounter(nil)

@@ -12,8 +12,8 @@ import (
 // TestRecycledMatchesFresh chains Sims through one Recycler, stopping each
 // at a different budget so that Release harvests rings with work still in
 // flight, and requires every recycled Sim to report what a fresh New
-// reports for the same configuration and budget. The overlay counters are
-// excluded: they observe the pool itself. Several budgets stop a forking
+// reports for the same configuration and budget: Stats is a function of
+// image, configuration and budget alone. Several budgets stop a forking
 // or SMT machine just after a squash compacted its fetch queue, where a
 // moved slot's checkpoint buffer must not stay reachable from the slot it
 // left: Release would pool it twice and the next Sim would lend it to two
@@ -72,8 +72,6 @@ func TestRecycledMatchesFresh(t *testing.T) {
 					}
 
 					want, got := *fresh.Stats(), *pooled.Stats()
-					want.OverlayReuses, want.OverlaySpills = 0, 0
-					got.OverlayReuses, got.OverlaySpills = 0, 0
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%v budget %d: recycled stats diverge:\nfresh:    %+v\nrecycled: %+v",
 							pol, budget, want, got)

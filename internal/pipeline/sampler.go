@@ -49,8 +49,8 @@ type Sample struct {
 	NewPredecodeHits      uint64
 	NewPredecodeFallbacks uint64
 
-	// Flat-overlay activity: spill-table engagements and pool reuses (see
-	// Stats.OverlaySpills/OverlayReuses). Cumulative plus deltas.
+	// Flat-overlay activity: spill-table engagements and pool reuses.
+	// Cumulative plus deltas.
 	OverlaySpills    uint64
 	OverlayReuses    uint64
 	NewOverlaySpills uint64
@@ -79,8 +79,8 @@ func (s *Sim) SetSampler(every uint64, fn func(Sample)) {
 	s.lastSquashed = s.stats.Squashed
 	s.lastRecoveries = s.stats.Recoveries
 	s.lastPredecodeHits, s.lastPredecodeFalls = s.predecodeCounters()
-	s.lastOverlaySpills = s.stats.OverlaySpills
-	s.lastOverlayReuses = s.stats.OverlayReuses
+	s.lastOverlaySpills = s.overlaySpills
+	s.lastOverlayReuses = s.overlayReuses
 	s.lastBlockHits, s.lastBlockBuilds, s.lastBlockInvals = s.blockCounters()
 }
 
@@ -127,10 +127,10 @@ func (s *Sim) takeSample() {
 		NewPredecodeHits:      pdHits - s.lastPredecodeHits,
 		NewPredecodeFallbacks: pdFalls - s.lastPredecodeFalls,
 
-		OverlaySpills:    s.stats.OverlaySpills,
-		OverlayReuses:    s.stats.OverlayReuses,
-		NewOverlaySpills: s.stats.OverlaySpills - s.lastOverlaySpills,
-		NewOverlayReuses: s.stats.OverlayReuses - s.lastOverlayReuses,
+		OverlaySpills:    s.overlaySpills,
+		OverlayReuses:    s.overlayReuses,
+		NewOverlaySpills: s.overlaySpills - s.lastOverlaySpills,
+		NewOverlayReuses: s.overlayReuses - s.lastOverlayReuses,
 
 		BlockHits:             blkHits,
 		BlockBuilds:           blkBuilds,

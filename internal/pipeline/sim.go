@@ -83,6 +83,14 @@ type Sim struct {
 	done   bool
 	runErr error
 
+	// Flat-overlay machinery, purely observational and outside Stats
+	// because it depends on the Recycler's history, not on the simulated
+	// machine: reset epochs in which a wrong path's footprint overflowed
+	// an overlay's inline slots into its spill table, and overlays served
+	// from the pool instead of allocated. The sampler reports both.
+	overlaySpills uint64
+	overlayReuses uint64
+
 	// Cycle sampling (see sampler.go). Disabled (nil sampler) costs one
 	// nil check per cycle.
 	sampler            func(Sample)
@@ -128,7 +136,18 @@ func newSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 	if len(ims) != want {
 		return nil, fmt.Errorf("pipeline: %d images for %d threads", len(ims), want)
 	}
+	machs := make([]*emu.Machine, len(ims))
+	for i, im := range ims {
+		machs[i] = emu.NewMachine()
+		machs[i].Load(im)
+	}
+	return newSim(cfg, machs, r), nil
+}
 
+// newSim builds a simulator for a validated configuration around one
+// loaded machine per hardware thread, each fetching from its machine's PC,
+// drawing bulk storage from r (nil allocates it).
+func newSim(cfg config.Config, machs []*emu.Machine, r *Recycler) *Sim {
 	if r == nil {
 		r = NewRecycler() // an empty pool: everything is allocated fresh
 	}
@@ -165,13 +184,13 @@ func newSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 	}
 
 	nPaths := cfg.MaxPaths
-	if len(ims) > nPaths {
-		nPaths = len(ims)
+	if len(machs) > nPaths {
+		nPaths = len(machs)
 	}
 	s.paths = make([]path, nPaths)
 	s.doomedToks = make([]uint64, 0, nPaths)
 	s.stackSeen = make([]core.ReturnStack, 0, nPaths+1)
-	s.stats.PerThreadCommitted = make([]uint64, len(ims))
+	s.stats.PerThreadCommitted = make([]uint64, len(machs))
 
 	if cfg.ReturnPred == config.ReturnRAS {
 		s.sharedRAS = cfg.NewReturnStack()
@@ -180,10 +199,8 @@ func newSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 		s.tcache = bpred.NewTargetCache(cfg.TCSizeBits, cfg.TCHistBits)
 	}
 
-	// One thread context and root path per image.
-	for i, im := range ims {
-		m := emu.NewMachine()
-		m.Load(im)
+	// One thread context and root path per machine.
+	for i, m := range machs {
 		th := &thread{id: i, mach: m}
 		s.threads = append(s.threads, th)
 
@@ -194,11 +211,11 @@ func newSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 		root.token = s.nextToken
 		root.live = true
 		root.correct = true
-		root.fetchPC = im.Entry
+		root.fetchPC = m.PC
 		root.overlay = s.takeOverlay(m)
 		root.resetCreators()
 		if cfg.ReturnPred == config.ReturnRAS {
-			if len(ims) > 1 && !cfg.SMTSharedRAS {
+			if len(machs) > 1 && !cfg.SMTSharedRAS {
 				root.ras = cfg.NewReturnStack() // per-thread stack
 				s.nextRasID++
 				root.rasID = s.nextRasID
@@ -209,7 +226,7 @@ func newSMTWithRecycler(cfg config.Config, ims []*program.Image, r *Recycler) (*
 		s.liveCount++
 	}
 	s.mach = s.threads[0].mach
-	return s, nil
+	return s
 }
 
 // pathByToken resolves a token to its live path context, or nil. Path slots
@@ -232,13 +249,13 @@ func (s *Sim) takeOverlay(m *emu.Machine) *emu.Overlay {
 	if n := len(s.ovFree); n > 0 {
 		o := s.ovFree[n-1]
 		s.ovFree = s.ovFree[:n-1]
-		o.SetSpillCounter(&s.stats.OverlaySpills)
+		o.SetSpillCounter(&s.overlaySpills)
 		o.Rebase(m)
-		s.stats.OverlayReuses++
+		s.overlayReuses++
 		return o
 	}
 	o := emu.NewOverlay(m)
-	o.SetSpillCounter(&s.stats.OverlaySpills)
+	o.SetSpillCounter(&s.overlaySpills)
 	return o
 }
 
@@ -248,13 +265,13 @@ func (s *Sim) cloneOverlay(src *emu.Overlay) *emu.Overlay {
 	if n := len(s.ovFree); n > 0 {
 		c := s.ovFree[n-1]
 		s.ovFree = s.ovFree[:n-1]
-		c.SetSpillCounter(&s.stats.OverlaySpills)
+		c.SetSpillCounter(&s.overlaySpills)
 		c.CopyFrom(src)
-		s.stats.OverlayReuses++
+		s.overlayReuses++
 		return c
 	}
 	c := src.Clone()
-	c.SetSpillCounter(&s.stats.OverlaySpills)
+	c.SetSpillCounter(&s.overlaySpills)
 	return c
 }
 

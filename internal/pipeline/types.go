@@ -283,13 +283,6 @@ type Stats struct {
 	PredecodeHits      uint64
 	PredecodeFallbacks uint64
 
-	// Flat-overlay machinery, purely observational: reset epochs in which a
-	// wrong path's footprint overflowed the overlay's inline slots into its
-	// spill table, and overlays served from the Sim's pool instead of
-	// allocated.
-	OverlaySpills uint64
-	OverlayReuses uint64
-
 	// Basic-block dispatch activity, summed over threads at the end of Run:
 	// block dispatches served from the plane's block table, descriptor
 	// builds (first entries per machine, deterministic under image

@@ -5,7 +5,9 @@ package stats
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -91,6 +93,14 @@ func (h *Histogram) Add(v int) {
 	if v < h.min {
 		h.min = v
 	}
+}
+
+// Clone returns an independent copy of the histogram.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.dense = slices.Clone(h.dense)
+	c.sparse = maps.Clone(h.sparse)
+	return &c
 }
 
 // Total returns the number of observations.
