@@ -37,14 +37,16 @@ func (m *Machine) runBlocks(maxInsts uint64) (uint64, error) {
 		if maxInsts > 0 {
 			budget = maxInsts - n
 		}
-		k, full := m.stepBlockBody(budget, nil, nil)
+		k, full := m.stepBlockBody(budget, 0, nil, nil)
 		n += k
 		if maxInsts > 0 && n >= maxInsts {
 			break
 		}
-		if full && m.stepTerminator() {
-			n++
-			continue
+		if full {
+			if _, ok := m.StepTerminator(); ok {
+				n++
+				continue
+			}
 		}
 		// Whatever stopped the fast path — the block's terminator being a
 		// syscall, an invalid encoding, a misaligned access, a store that
@@ -62,21 +64,23 @@ func (m *Machine) runBlocks(maxInsts uint64) (uint64, error) {
 // basic block at the current PC with the fast concrete-typed interpreter,
 // returning how many retired (0 when the block path cannot serve the PC —
 // blocks disabled, plane absent or dirtied, PC at a terminator, or an
-// instruction Step must handle). ifetch runs before each instruction and
-// access after each data access (either may be nil); pipeline fast-forward
-// uses them to warm the caches in exactly the per-instruction I/D order the
-// reference loop produces.
-func (m *Machine) StepBlockBody(budget uint64, ifetch func(pc uint32), access func(addr uint32, store bool)) uint64 {
-	k, _ := m.stepBlockBody(budget, ifetch, access)
+// instruction Step must handle). ifetch runs before the first instruction
+// and before each later one that starts a line of lineBytes (a power of
+// two), so once per I-cache line the run touches; access runs after each
+// data access (either may be nil). Pipeline fast-forward uses them to warm
+// the caches in exactly the I/D order the per-instruction reference loop
+// produces.
+func (m *Machine) StepBlockBody(budget uint64, lineBytes uint32, ifetch func(pc uint32), access func(addr uint32, store bool)) uint64 {
+	k, _ := m.stepBlockBody(budget, lineBytes, ifetch, access)
 	return k
 }
 
 // stepBlockBody is the block-body interpreter. full reports that the body
 // ran to completion and the block's terminator is now at m.PC; the caller
-// may then try stepTerminator. It mirrors Exec's semantics exactly for the
+// may then try StepTerminator. It mirrors Exec's semantics exactly for the
 // non-control subset and stops — before any side effect — at anything it
 // cannot mirror, leaving that instruction for Step.
-func (m *Machine) stepBlockBody(budget uint64, ifetch func(uint32), access func(uint32, bool)) (uint64, bool) {
+func (m *Machine) stepBlockBody(budget uint64, lineBytes uint32, ifetch func(uint32), access func(uint32, bool)) (uint64, bool) {
 	p := m.plane
 	if m.noBlocks || p == nil || m.Mem.codeDirty || budget == 0 {
 		return 0, false
@@ -97,10 +101,13 @@ func (m *Machine) stepBlockBody(budget uint64, ifetch func(uint32), access func(
 	}
 	regs := &m.Regs
 	mem := m.Mem
+	lineMask := lineBytes - 1
 	var done uint64
 loop:
 	for done < body {
-		if ifetch != nil {
+		// The fetch hook sees the entry and each line start. Testing
+		// ifetch first keeps Run's hook-free loop at one compare.
+		if ifetch != nil && (done == 0 || pc&lineMask == 0) {
 			ifetch(pc)
 		}
 		in := insts[idx]
@@ -313,26 +320,44 @@ loop:
 	return done, done == fullBody
 }
 
-// stepTerminator executes the control transfer at m.PC with concrete
-// dispatch when it is one of the plain branch/jump forms. Syscalls (which
-// can halt or print) and anything unusual return false for the caller to
-// route through Step.
-func (m *Machine) stepTerminator() bool {
+// Transfer is what StepTerminator reports about the control transfer it
+// retired: what fast-forward needs to train the direction predictor, the
+// BTB and the return stack, without building an Outcome. It leaves out
+// the instruction, which training would read only for a call's return
+// address, always the next instruction's. Three fields come back in
+// registers; with an isa.Inst inside, the result is copied through memory
+// on every terminator.
+type Transfer struct {
+	Class  isa.Class
+	Taken  bool   // left the fall-through path
+	Target uint32 // resolved destination when Taken, as in Outcome
+}
+
+// StepTerminator executes the control transfer at m.PC with concrete
+// dispatch when it is one of the plain branch/jump forms, with Step's
+// architectural effects and counters. It returns false, having changed
+// nothing, for syscalls (which can halt or print) and anything unusual —
+// a non-control instruction, blocks disabled, the plane absent or dirtied,
+// a PC outside it, a halted machine — for the caller to route through
+// Step. Run and pipeline fast-forward both execute block terminators
+// through it.
+func (m *Machine) StepTerminator() (Transfer, bool) {
 	p := m.plane
-	if m.noBlocks || p == nil || m.Mem.codeDirty {
-		return false
+	if m.noBlocks || p == nil || m.Mem.codeDirty || m.Halted {
+		return Transfer{}, false
 	}
 	pc := m.PC
 	idx := (pc - p.Base()) >> 2
 	insts, classes := p.Tables()
 	if pc&3 != 0 || idx >= uint32(len(insts)) {
-		return false
+		return Transfer{}, false
 	}
-	in := insts[idx]
+	in := &insts[idx] // read in place: copying it costs Run measurably
 	var rs uint32
 	if in.Rs != 0 {
 		rs = m.Regs[in.Rs]
 	}
+	var taken bool
 	npc := pc + isa.WordBytes
 	switch in.Op {
 	case isa.OpBEQ:
@@ -341,7 +366,7 @@ func (m *Machine) stepTerminator() bool {
 			rt = m.Regs[in.Rt]
 		}
 		if rs == rt {
-			npc = in.DirectTarget(pc)
+			taken, npc = true, in.DirectTarget(pc)
 		}
 	case isa.OpBNE:
 		var rt uint32
@@ -349,45 +374,49 @@ func (m *Machine) stepTerminator() bool {
 			rt = m.Regs[in.Rt]
 		}
 		if rs != rt {
-			npc = in.DirectTarget(pc)
+			taken, npc = true, in.DirectTarget(pc)
 		}
 	case isa.OpBLEZ:
 		if int32(rs) <= 0 {
-			npc = in.DirectTarget(pc)
+			taken, npc = true, in.DirectTarget(pc)
 		}
 	case isa.OpBGTZ:
 		if int32(rs) > 0 {
-			npc = in.DirectTarget(pc)
+			taken, npc = true, in.DirectTarget(pc)
 		}
 	case isa.OpBLTZ:
 		if int32(rs) < 0 {
-			npc = in.DirectTarget(pc)
+			taken, npc = true, in.DirectTarget(pc)
 		}
 	case isa.OpBGEZ:
 		if int32(rs) >= 0 {
-			npc = in.DirectTarget(pc)
+			taken, npc = true, in.DirectTarget(pc)
 		}
 	case isa.OpJ:
-		npc = in.DirectTarget(pc)
+		taken, npc = true, in.DirectTarget(pc)
 	case isa.OpJAL:
 		m.Regs[isa.RA] = in.ReturnAddress(pc)
-		npc = in.DirectTarget(pc)
+		taken, npc = true, in.DirectTarget(pc)
 	case isa.OpJR:
-		npc = rs
+		taken, npc = true, rs
 	case isa.OpJALR:
 		// rs was read above, so jalr rd, rd links correctly: the old value
 		// is the target, mirroring Exec's read-before-link order.
-		npc = rs
+		taken, npc = true, rs
 		if in.Rd != 0 {
 			m.Regs[in.Rd] = in.ReturnAddress(pc)
 		}
 	default:
-		return false
+		return Transfer{}, false
+	}
+	t := Transfer{Class: classes[idx], Taken: taken}
+	if taken {
+		t.Target = npc
 	}
 	m.PredecodeHits++
-	m.NoteRetiredClass(classes[idx])
+	m.NoteRetiredClass(t.Class)
 	m.PC = npc
-	return true
+	return t, true
 }
 
 // FetchBlockBody returns the number of straight-line instructions (the

@@ -494,3 +494,116 @@ func benchEmuRun(b *testing.B, noBlocks bool) {
 
 func BenchmarkEmuRunBlocks(b *testing.B)   { benchEmuRun(b, false) }
 func BenchmarkEmuRunNoBlocks(b *testing.B) { benchEmuRun(b, true) }
+
+// TestStepTerminatorMatchesExec holds the concrete terminator step — the
+// one Run and pipeline fast-forward share — to Step, and so to Exec's
+// Outcome: every control opcode, taken and not taken, must report the
+// class, taken flag and target Exec does, land on the same next PC, and
+// leave the same registers and counters. Forms the step does not serve
+// must return false with no side effect, for the caller's Step.
+func TestStepTerminatorMatchesExec(t *testing.T) {
+	const (
+		text = program.DefaultTextBase
+		far  = program.DefaultTextBase + 0x100
+	)
+	cases := []struct {
+		name   string
+		in     isa.Inst
+		t0, t1 uint32
+		taken  bool
+	}{
+		{"beq taken", isa.Branch(isa.OpBEQ, isa.T0, isa.T1, 5), 7, 7, true},
+		{"beq not taken", isa.Branch(isa.OpBEQ, isa.T0, isa.T1, 5), 7, 8, false},
+		// Taken, yet the target is the fall-through PC: the taken flag
+		// must come from the condition, not from the next PC.
+		{"beq zero offset", isa.Branch(isa.OpBEQ, isa.T0, isa.T1, 0), 3, 3, true},
+		{"beq $zero, $zero", isa.Branch(isa.OpBEQ, isa.Zero, isa.Zero, -2), 0, 0, true},
+		{"bne taken", isa.Branch(isa.OpBNE, isa.T0, isa.T1, -4), 7, 8, true},
+		{"bne not taken", isa.Branch(isa.OpBNE, isa.T0, isa.T1, -4), 7, 7, false},
+		{"blez taken at zero", isa.Branch(isa.OpBLEZ, isa.T0, 0, 9), 0, 0, true},
+		{"blez taken negative", isa.Branch(isa.OpBLEZ, isa.T0, 0, 9), 0xFFFFFFFF, 0, true},
+		{"blez not taken", isa.Branch(isa.OpBLEZ, isa.T0, 0, 9), 1, 0, false},
+		{"bgtz taken", isa.Branch(isa.OpBGTZ, isa.T0, 0, 2), 1, 0, true},
+		{"bgtz not taken", isa.Branch(isa.OpBGTZ, isa.T0, 0, 2), 0x80000000, 0, false},
+		{"bltz taken", isa.Branch(isa.OpBLTZ, isa.T0, 0, 2), 0x80000000, 0, true},
+		{"bltz not taken", isa.Branch(isa.OpBLTZ, isa.T0, 0, 2), 0, 0, false},
+		{"bgez taken", isa.Branch(isa.OpBGEZ, isa.T0, 0, 2), 0, 0, true},
+		{"bgez not taken", isa.Branch(isa.OpBGEZ, isa.T0, 0, 2), 0xFFFFFFFF, 0, false},
+		{"j", isa.Jump(isa.OpJ, far), 0, 0, true},
+		{"jal", isa.Jump(isa.OpJAL, far), 0, 0, true},
+		{"jr ra (return)", isa.Jr(isa.RA), 0, 0, true},
+		{"jr t0 (indirect)", isa.Jr(isa.T0), far, 0, true},
+		{"jalr ra, t0", isa.Jalr(isa.RA, isa.T0), far, 0, true},
+		{"jalr t0, t0", isa.Jalr(isa.T0, isa.T0), far, 0, true},
+		{"jalr $zero, t0", isa.Jalr(isa.Zero, isa.T0), far, 0, true},
+	}
+	load := func(t *testing.T, in isa.Inst, t0, t1 uint32) *Machine {
+		t.Helper()
+		b := program.NewBuilder()
+		b.Label("main")
+		b.Emit(in)
+		im, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine()
+		m.Load(im)
+		m.Regs[isa.T0], m.Regs[isa.T1], m.Regs[isa.RA] = t0, t1, far+8
+		m.Regs[isa.V0], m.Regs[isa.A0] = uint32(SysPutInt), 42
+		return m
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fast, ref := load(t, c.in, c.t0, c.t1), load(t, c.in, c.t0, c.t1)
+			got, ok := fast.StepTerminator()
+			if !ok {
+				t.Fatal("StepTerminator refused a plain control transfer")
+			}
+			in, out, err := ref.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Taken != c.taken {
+				t.Fatalf("Exec: taken %v, want %v", out.Taken, c.taken)
+			}
+			want := Transfer{Class: in.Class(), Taken: out.Taken, Target: out.Target}
+			if got != want {
+				t.Errorf("transfer %+v, Exec says %+v", got, want)
+			}
+			if fast.PC != out.NextPC {
+				t.Errorf("next PC %#x, Exec says %#x", fast.PC, out.NextPC)
+			}
+			if c.name == "beq zero offset" && got.Target != text+isa.WordBytes {
+				t.Errorf("zero-offset target %#x, want %#x", got.Target, text+isa.WordBytes)
+			}
+			compareMachines(t, fast, ref)
+		})
+	}
+
+	// Not served: a syscall terminator (it may print or halt), a body
+	// instruction, any instruction once blocks are disabled, and anything
+	// after the program halted.
+	refused := []struct {
+		name  string
+		in    isa.Inst
+		setup func(*Machine)
+	}{
+		{"syscall", isa.Syscall(), nil},
+		{"add", isa.R(isa.OpADD, isa.T2, isa.T0, isa.T1), nil},
+		{"blocks disabled", isa.Jr(isa.RA), (*Machine).DisableBlocks},
+		{"halted", isa.Jr(isa.RA), func(m *Machine) { m.Halted = true }},
+	}
+	for _, c := range refused {
+		t.Run(c.name, func(t *testing.T) {
+			m, pristine := load(t, c.in, 1, 2), load(t, c.in, 1, 2)
+			if c.setup != nil {
+				c.setup(m)
+				c.setup(pristine)
+			}
+			if got, ok := m.StepTerminator(); ok || got != (Transfer{}) {
+				t.Fatalf("StepTerminator served it: %+v, %v", got, ok)
+			}
+			compareMachines(t, m, pristine)
+		})
+	}
+}

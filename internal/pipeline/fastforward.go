@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"retstack/internal/emu"
 	"retstack/internal/isa"
 )
 
@@ -28,10 +29,13 @@ func (s *Sim) FastForward(n uint64) (uint64, error) {
 	root := &s.paths[0]
 
 	// Cache-warming callbacks shared by the block fast path and the
-	// per-instruction reference loop below. Keeping both on the same
-	// closures (and the same lastLine) preserves the exact per-instruction
-	// I/D access interleaving into the shared L2 — warming a whole block's
-	// lines up front would reorder L2 fills and change its LRU state.
+	// per-instruction path below. Keeping both on the same closures (and
+	// the same lastLine) preserves the exact per-instruction I/D access
+	// interleaving into the shared L2 — warming a whole block's lines up
+	// front would reorder L2 fills and change its LRU state. The body
+	// interpreter calls warmI only where the line can change (block entry
+	// and line starts); lastLine drops the repeats, as it does for the
+	// per-instruction calls.
 	warmI := func(pc uint32) {
 		if line := pc/lineBytesI + 1; line != lastLine {
 			s.hier.L1I.Access(pc, false)
@@ -44,12 +48,10 @@ func (s *Sim) FastForward(n uint64) (uint64, error) {
 
 	for done < n && !s.mach.Halted {
 		// Block fast path: advance block-at-a-time through the straight-line
-		// body. Body instructions are provably non-control, so the predictor
-		// training switch below would not fire for them in the reference
-		// loop either; only the caches see them, via the callbacks. The
-		// block's terminator (and anything the fast interpreter must not
-		// touch) falls through to the reference path.
-		if k := s.mach.StepBlockBody(n-done, warmI, warmD); k > 0 {
+		// body. Body instructions are provably non-control, so they train
+		// nothing; only the caches see them, via the callbacks. The block's
+		// terminator runs on the next iteration, below.
+		if k := s.mach.StepBlockBody(n-done, lineBytesI, warmI, warmD); k > 0 {
 			done += k
 			s.stats.FastForwarded += k
 			continue
@@ -60,52 +62,55 @@ func (s *Sim) FastForward(n uint64) (uint64, error) {
 		// Warm the I-cache, one access per line.
 		warmI(pc)
 
-		in, out, err := s.mach.Step()
-		if err != nil {
-			return done, fmt.Errorf("pipeline: fast-forward at pc=%#x: %w", pc, err)
+		// A plain branch or jump runs through the emulator's concrete
+		// terminator step, as in Machine.Run. Syscalls, invalid encodings,
+		// misaligned accesses, a dirtied code region and the step-at-a-time
+		// reference go through Step, the only path with data accesses.
+		t, ok := s.mach.StepTerminator()
+		if !ok {
+			in, out, err := s.mach.Step()
+			if err != nil {
+				return done, fmt.Errorf("pipeline: fast-forward at pc=%#x: %w", pc, err)
+			}
+			if out.IsLoad {
+				warmD(out.Addr, false)
+			}
+			if out.IsStore {
+				warmD(out.Addr, true)
+			}
+			t = emu.Transfer{Class: in.Class(), Taken: out.Taken, Target: out.Target}
 		}
 		done++
 		s.stats.FastForwarded++
 
-		// Warm the D-cache.
-		if out.IsLoad {
-			s.hier.L1D.Access(out.Addr, false)
-		}
-		if out.IsStore {
-			s.hier.L1D.Access(out.Addr, true)
-		}
-
 		// Train the predictors with committed outcomes.
-		switch in.Class() {
+		switch t.Class {
 		case isa.ClassCondBranch:
 			predicted := s.dirPred.Predict(pc)
 			if s.cfg.SpecHistory {
 				snap := s.hybrid.Snapshot(pc)
-				s.hybrid.SpecShift(pc, out.Taken)
-				s.hybrid.TrainAt(pc, snap, out.Taken)
+				s.hybrid.SpecShift(pc, t.Taken)
+				s.hybrid.TrainAt(pc, snap, t.Taken)
 			} else {
-				s.dirPred.Update(pc, out.Taken)
+				s.dirPred.Update(pc, t.Taken)
 			}
-			s.conf.Update(pc, predicted == out.Taken)
-			if out.Taken {
-				// Conditional targets are decode-computed at fetch in the
-				// timing model, so no BTB training here.
-				_ = out.Target
-			}
+			// Conditional targets are decode-computed at fetch in the
+			// timing model, so no BTB training here.
+			s.conf.Update(pc, predicted == t.Taken)
 		case isa.ClassCall, isa.ClassIndirectCall:
 			if root.ras != nil {
-				root.ras.Push(in.ReturnAddress(pc))
+				root.ras.Push(pc + isa.WordBytes) // the return address, as isa.Inst.ReturnAddress
 			}
-			if in.Class() == isa.ClassIndirectCall {
-				s.btb.Update(pc, out.Target)
+			if t.Class == isa.ClassIndirectCall {
+				s.btb.Update(pc, t.Target)
 			}
 		case isa.ClassReturn:
 			if root.ras != nil {
 				root.ras.Pop()
 			}
-			s.btb.Update(pc, out.Target)
+			s.btb.Update(pc, t.Target)
 		case isa.ClassIndirect:
-			s.btb.Update(pc, out.Target)
+			s.btb.Update(pc, t.Target)
 		}
 	}
 

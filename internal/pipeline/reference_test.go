@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"retstack/internal/cache"
 	"retstack/internal/config"
 	"retstack/internal/core"
 	"retstack/internal/emu"
@@ -34,21 +35,15 @@ func newWithReference(cfg config.Config, im *program.Image, r *Recycler, ref fun
 // simulator-speed fast paths: basic-block dispatch and the predecode plane
 // must change nothing but speed. Each input runs as production runs it and
 // again on a reference path — fast-forward (single-thread machines only)
-// plus a cycle-level window — and every statistic, register and output
-// byte of every thread must agree, bar the counters that measure the fast
-// path itself. The inputs cross a misprediction-dense kernel and two
-// workloads with single-path, multipath and SMT machines.
+// plus a cycle-level window — and every statistic, cache counter, register
+// and output byte of every thread must agree, bar the counters that
+// measure the fast path itself. The inputs cross a misprediction-dense
+// kernel and two workloads with single-path, multipath and SMT machines
+// after a short warm-up, and the eight SPEC clones with the single-thread
+// machines after a real one, so the block path's predictor training and
+// cache warming are held to the step-at-a-time loop over 100k instructions.
 func TestFastPathsMatchReference(t *testing.T) {
-	const warmup, budget = 4_000, 20_000
-	ims := map[string]*program.Image{"corruptor": mustAssemble(t, corruptorProgram)}
-	for _, name := range []string{"go", "li"} {
-		w, _ := workloads.ByName(name)
-		im, err := w.Build(w.ScaleFor(2 * (warmup + budget)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ims[name] = im
-	}
+	const budget = 20_000
 	cfgs := map[string]config.Config{
 		"single":         config.Baseline().WithPolicy(core.RepairTOSPointerAndContents),
 		"no-repair":      config.Baseline(),
@@ -57,16 +52,40 @@ func TestFastPathsMatchReference(t *testing.T) {
 		"smt-private":    smtConfig(2, false),
 		"smt-shared":     smtConfig(2, true),
 	}
+	type input struct {
+		name   string
+		im     *program.Image
+		warmup uint64
+		smt    bool // also run the SMT configs (which never fast-forward)
+	}
+	build := func(name string, warmup uint64) *program.Image {
+		w, _ := workloads.ByName(name)
+		im, err := w.Build(w.ScaleFor(2 * (warmup + budget)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return im
+	}
+	inputs := []input{{"corruptor", mustAssemble(t, corruptorProgram), 4_000, true}}
+	for _, name := range []string{"go", "li"} {
+		inputs = append(inputs, input{name, build(name, 4_000), 4_000, true})
+	}
+	for _, name := range workloads.SPECNames() {
+		inputs = append(inputs, input{name + "-warm", build(name, 100_000), 100_000, false})
+	}
 	refs := map[string]func(*emu.Machine){"step": stepDispatch, "decode": decodeFetch}
-	for prog, im := range ims {
+	for _, in := range inputs {
 		for cname, cfg := range cfgs {
+			if cfg.SMTThreads > 1 && !in.smt {
+				continue
+			}
 			for rname, ref := range refs {
-				t.Run(prog+"/"+cname+"/"+rname, func(t *testing.T) {
+				t.Run(in.name+"/"+cname+"/"+rname, func(t *testing.T) {
 					t.Parallel()
 					run := func(ref func(*emu.Machine)) *Sim {
-						s, err := newWithReference(cfg, im, nil, ref)
+						s, err := newWithReference(cfg, in.im, nil, ref)
 						if err == nil && len(s.threads) == 1 {
-							_, err = s.FastForward(warmup)
+							_, err = s.FastForward(in.warmup)
 						}
 						if err == nil {
 							err = s.Run(budget)
@@ -91,6 +110,15 @@ func TestFastPathsMatchReference(t *testing.T) {
 					}
 					if !reflect.DeepEqual(fs, ss) {
 						t.Errorf("stats diverge:\nfast: %+v\n%s: %+v", fs, rname, ss)
+					}
+					fh, sh := fast.hier, slow.hier
+					for _, lv := range []struct {
+						name       string
+						fast, slow *cache.Cache
+					}{{"L1I", fh.L1I, sh.L1I}, {"L1D", fh.L1D, sh.L1D}, {"L2", fh.L2, sh.L2}} {
+						if f, s := lv.fast.Stats(), lv.slow.Stats(); f != s {
+							t.Errorf("%s counters diverge: fast %+v, %s %+v", lv.name, f, rname, s)
+						}
 					}
 					for i := range fast.threads {
 						fm, sm := fast.ThreadMachine(i), slow.ThreadMachine(i)

@@ -166,6 +166,11 @@ type Store struct {
 	closed   bool
 	putFault func() error // deterministic I/O fault seam (see SetPutFault)
 
+	// afterMiss, when set, runs in Do between its index miss and taking
+	// the flight-shard lock: the gap a finishing leader can fall into. A
+	// test sets it while no Do can reach that point.
+	afterMiss func(key string)
+
 	flights [flightShardCount]flightShard
 }
 
@@ -262,9 +267,7 @@ func (s *Store) Stats() Stats {
 // Get returns the payload and provenance stored under key.
 func (s *Store) Get(key string) ([]byte, Provenance, bool) {
 	start := time.Now()
-	s.mu.Lock()
-	e, ok := s.index[key]
-	s.mu.Unlock()
+	e, ok := s.lookup(key)
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -377,24 +380,21 @@ func (o Outcome) String() string {
 //
 // Flights live in a sharded table (key-hashed, per-shard locks) so
 // concurrent sweep workers resolving different keys never serialize on
-// one singleflight mutex. The index check and the flight check are
-// therefore not atomic: a leader can finish in the gap, in which case
-// this caller leads a redundant computation. That is benign — payloads
-// are a pure function of the key, exactly-one-at-a-time per key still
-// holds (flight registration is atomic per shard), and the duplicate
-// Put just appends a record the index resolves latest-wins.
+// one singleflight mutex. The first index check runs without the shard
+// lock, so a leader can store the key and end its flight before this
+// caller takes it; the index is therefore checked again under the shard
+// lock before a new flight is registered. A leader stores before it
+// unregisters, and unregistering takes the shard lock, so that second
+// check sees its record. Lock order is shard then index: no path takes
+// the index lock and then a shard lock.
 func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Provenance, error)) ([]byte, Provenance, Outcome, error) {
 	sh := s.flightShardFor(key)
 	for {
-		s.mu.Lock()
-		e, ok := s.index[key]
-		s.mu.Unlock()
-		if ok {
-			s.hits.Add(1)
-			if s.obs.OnGet != nil {
-				s.obs.OnGet(true, 0)
-			}
-			return e.payload, e.prov, Hit, nil
+		if e, ok := s.lookup(key); ok {
+			return s.hit(e)
+		}
+		if s.afterMiss != nil {
+			s.afterMiss(key)
 		}
 		sh.mu.Lock()
 		if f, ok := sh.m[key]; ok {
@@ -418,12 +418,33 @@ func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Prov
 			}
 			return f.payload, f.prov, SharedFlight, nil
 		}
+		if e, ok := s.lookup(key); ok {
+			sh.mu.Unlock()
+			return s.hit(e)
+		}
 		f := &flight{done: make(chan struct{})}
 		sh.m[key] = f
 		sh.mu.Unlock()
 		s.lead(key, f, compute)
 		return f.payload, f.prov, Computed, f.err
 	}
+}
+
+// lookup reads key's index entry without counting the lookup.
+func (s *Store) lookup(key string) (entry, bool) {
+	s.mu.Lock()
+	e, ok := s.index[key]
+	s.mu.Unlock()
+	return e, ok
+}
+
+// hit counts a Do that found its key resident and returns the entry.
+func (s *Store) hit(e entry) ([]byte, Provenance, Outcome, error) {
+	s.hits.Add(1)
+	if s.obs.OnGet != nil {
+		s.obs.OnGet(true, 0)
+	}
+	return e.payload, e.prov, Hit, nil
 }
 
 // lead runs compute as flight f's leader and persists a successful

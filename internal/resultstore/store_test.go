@@ -277,6 +277,58 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
+// TestDoRechecksIndexBeforeLeading forces the interleaving in which a
+// leader stores its result and ends its flight between another caller's
+// index miss and that caller's flight check. The second caller finds no
+// flight then, and must still take the stored record as a hit instead of
+// leading a duplicate computation.
+func TestDoRechecksIndexBeforeLeading(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	const key = "k"
+	var computes atomic.Int32
+	compute := func(gate <-chan struct{}) func() ([]byte, Provenance, error) {
+		return func() ([]byte, Provenance, error) {
+			computes.Add(1)
+			<-gate
+			return []byte(`"v"`), Provenance{}, nil
+		}
+	}
+
+	started, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		lead := compute(release)
+		_, _, out, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
+			close(started)
+			return lead()
+		})
+		if err != nil || out != Computed {
+			t.Errorf("leader: %v, %v; want computed", out, err)
+		}
+	}()
+	<-started
+	// The leader is inside compute, past the hook. Stall the second caller
+	// right after its index miss until the leader has stored and
+	// unregistered its flight.
+	var once sync.Once
+	s.afterMiss = func(string) {
+		once.Do(func() {
+			close(release)
+			<-leaderDone
+		})
+	}
+	got, _, out, err := s.Do(context.Background(), key, compute(leaderDone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Hit || string(got) != `"v"` {
+		t.Errorf("second caller: %v with %q, want a hit on the leader's record", out, got)
+	}
+	if n, puts := computes.Load(), s.Stats().Puts; n != 1 || puts != 1 {
+		t.Errorf("%d computes and %d puts, want 1 each", n, puts)
+	}
+}
+
 func TestDoComputeErrorStoresNothing(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := CellKey("s", "t3", 0)
