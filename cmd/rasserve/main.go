@@ -61,6 +61,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -605,18 +606,24 @@ func normalize(spec campaignSpec) (campaignSpec, error) {
 	if len(spec.Exps) == 1 && spec.Exps[0] == "all" {
 		spec.Exps = retstack.ExperimentIDs()
 	}
-	for _, id := range spec.Exps {
+	for i, id := range spec.Exps {
 		if _, ok := retstack.ExperimentTitle(id); !ok {
 			return spec, fmt.Errorf("unknown experiment %q (GET /experiments lists them)", id)
+		}
+		if slices.Contains(spec.Exps[:i], id) {
+			return spec, fmt.Errorf("experiment %q is listed twice", id)
 		}
 	}
 	known := make(map[string]bool)
 	for _, n := range workloads.SPECNames() {
 		known[n] = true
 	}
-	for _, wl := range spec.Workloads {
+	for i, wl := range spec.Workloads {
 		if !known[wl] {
 			return spec, fmt.Errorf("unknown workload %q (have %v)", wl, workloads.SPECNames())
+		}
+		if slices.Contains(spec.Workloads[:i], wl) {
+			return spec, fmt.Errorf("workload %q is listed twice", wl)
 		}
 	}
 	if spec.Retries < 0 {

@@ -258,6 +258,8 @@ func TestServeValidation(t *testing.T) {
 		{"empty", `{}`},
 		{"unknown experiment", `{"exps":["t9"]}`},
 		{"unknown workload", `{"exps":["t3"],"workloads":["quake"]}`},
+		{"repeated workload", `{"exps":["t3"],"workloads":["go","go"]}`},
+		{"repeated experiment", `{"exps":["t3","f1","t3"]}`},
 		{"unknown field", `{"exps":["t3"],"cores":64}`},
 		{"not json", `exps=t3`},
 	} {

@@ -71,7 +71,13 @@ type savedEntry struct {
 
 // Snapshot captures the BTB's state.
 func (b *BTB) Snapshot() BTBSnapshot {
-	sn := BTBSnapshot{sets: b.sets, ways: b.ways, clock: b.clock, stats: b.Stats}
+	n := 0
+	for _, e := range b.entries {
+		if e != (btbEntry{}) {
+			n++
+		}
+	}
+	sn := BTBSnapshot{sets: b.sets, ways: b.ways, entries: make([]savedEntry, 0, n), clock: b.clock, stats: b.Stats}
 	for i, e := range b.entries {
 		if e != (btbEntry{}) {
 			sn.entries = append(sn.entries, savedEntry{int32(i), e})

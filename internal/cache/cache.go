@@ -215,7 +215,13 @@ type savedLine struct {
 
 // Snapshot captures the cache's state.
 func (c *Cache) Snapshot() Snapshot {
-	sn := Snapshot{sets: c.sets, ways: c.ways, clock: c.clock, stats: c.stats}
+	n := 0
+	for _, l := range c.lines {
+		if l != (line{}) {
+			n++
+		}
+	}
+	sn := Snapshot{sets: c.sets, ways: c.ways, lines: make([]savedLine, 0, n), clock: c.clock, stats: c.stats}
 	for i, l := range c.lines {
 		if l != (line{}) {
 			sn.lines = append(sn.lines, savedLine{int32(i), l})

@@ -5,7 +5,11 @@
 // disturbing architectural state.
 package emu
 
-import "slices"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"slices"
+)
 
 const (
 	pageShift = 12
@@ -78,6 +82,27 @@ func (m *Memory) clone() *Memory {
 		c.lastPage = c.pages[m.lastKey-1]
 	}
 	return &c
+}
+
+// Digest is a hash of the memory's contents: the code region and every
+// data page, in address order. Two memories holding the same bytes at the
+// same addresses digest alike; the tests that hold one machine to another
+// compare it.
+func (m *Memory) Digest() uint64 {
+	h := fnv.New64a()
+	h.Write(m.code)
+	keys := make([]uint32, 0, len(m.pages))
+	for k := range m.pages {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var k [4]byte
+	for _, key := range keys {
+		binary.LittleEndian.PutUint32(k[:], key)
+		h.Write(k[:])
+		h.Write(m.pages[key][:])
+	}
+	return h.Sum64()
 }
 
 // CodeDirty reports whether any store has hit the code region since

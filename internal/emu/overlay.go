@@ -122,6 +122,11 @@ func (o *Overlay) CopyFrom(src *Overlay) {
 	}
 }
 
+// Retarget points the overlay at another base, keeping its speculative
+// state: a machine copied mid-run moves its copied overlays onto the
+// copied machine.
+func (o *Overlay) Retarget(base State) { o.base = base }
+
 // Clone returns an independent overlay over the same base with a copy of
 // the current speculative state.
 func (o *Overlay) Clone() *Overlay {

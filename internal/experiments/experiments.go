@@ -11,8 +11,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -36,10 +38,10 @@ type Params struct {
 	// Workloads optionally restricts the benchmark set (default: the
 	// eight SPECint95 clones).
 	Workloads []string
-	// Parallel bounds how many simulation cells run concurrently (the
-	// rasbench -parallel flag). Values below 1 select
-	// runtime.GOMAXPROCS(0); 1 runs serially. Cells are independent and
-	// reassembled deterministically, so tables and Values are
+	// Parallel bounds how many simulations run concurrently (the rasbench
+	// -parallel flag). Values below 1 select runtime.GOMAXPROCS(0); 1 runs
+	// serially. Each cell's result is its own simulation's, and results
+	// are reassembled deterministically, so tables and Values are
 	// byte-identical at every setting.
 	Parallel int
 
@@ -137,10 +139,13 @@ func (p Params) workloads() ([]workloads.Workload, error) {
 		names = workloads.SPECNames()
 	}
 	ws := make([]workloads.Workload, 0, len(names))
-	for _, n := range names {
+	for i, n := range names {
 		w, ok := workloads.ByName(n)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown workload %q", n)
+		}
+		if slices.Contains(names[:i], n) {
+			return nil, fmt.Errorf("experiments: workload %q is listed twice", n)
 		}
 		ws = append(ws, w)
 	}
@@ -256,9 +261,9 @@ func Run(id string, p Params) (*Result, error) {
 	return res, nil
 }
 
-// simCell is one independent simulation of a sweep: a workload under a
-// machine configuration. Cells share no mutable state, which is what lets
-// the sweep engine fan them out.
+// simCell is one cell of a sweep: a workload under a machine
+// configuration. Cells that differ only in their return stack may share
+// one lockstep simulation (see runUnits); any other cell is its own.
 type simCell struct {
 	w   workloads.Workload
 	cfg config.Config
@@ -291,8 +296,9 @@ type workloadProfile struct {
 	P95Depth int    `json:"p95_depth"`
 }
 
-// runCells is the resilient sweep core every runner fans out through. On
-// top of the engine's determinism contract it adds, per Params:
+// runCells is the one-simulation-per-cell sweep core: t2, and every
+// runSims call that must run its cells solo, fan out through it. On top
+// of the engine's determinism contract it adds, per Params:
 //
 //   - cancellation: the sweep stops claiming cells once p.Ctx is done;
 //   - fault injection: p.Inject's harness faults fire at the top of each
@@ -311,39 +317,9 @@ func runCells(p Params, n int, prepare func(pending []int) error, body func(ctx 
 	if p.Store != nil && p.Inject != nil {
 		return nil, fmt.Errorf("%s: the result store cannot be combined with fault injection: injected cells would poison the cache", p.expID)
 	}
-	// Lookup-before-simulate: hits splice in around the engine — no
-	// execution, no monitor callbacks — which is what lets a warm rerun
-	// assert zero simulations. An undecodable payload (schema drift
-	// across versions) degrades to a miss; the re-simulated result
-	// re-Puts and heals the store, since the latest record for a key wins.
-	var keys []string
-	spliced := map[int]cellOut{}
-	if p.Store != nil {
-		keys = make([]string, n)
-		for i := 0; i < n; i++ {
-			keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
-			raw, _, ok := p.Store.Get(keys[i])
-			if !ok {
-				continue
-			}
-			var c cellOut
-			if err := json.Unmarshal(raw, &c); err != nil {
-				continue
-			}
-			spliced[i] = c
-			if p.OnStoreHit != nil {
-				p.OnStoreHit(p.expID, i, false)
-			}
-		}
-	}
+	keys, spliced := p.storeLookups(n)
 	if prepare != nil {
-		pending := make([]int, 0, n-len(spliced))
-		for i := 0; i < n; i++ {
-			if _, ok := spliced[i]; !ok {
-				pending = append(pending, i)
-			}
-		}
-		if err := prepare(pending); err != nil {
+		if err := prepare(pendingCells(n, spliced)); err != nil {
 			return nil, err
 		}
 	}
@@ -370,6 +346,13 @@ func runCells(p Params, n int, prepare func(pending []int) error, body func(ctx 
 	if err != nil {
 		return nil, err
 	}
+	return p.assemble(out, spliced, fails), nil
+}
+
+// assemble completes a sweep's outcomes: the cells the store served, and
+// an explicit hole, recorded on the Result, for each failure (in cell
+// order).
+func (p Params) assemble(out []cellOut, spliced map[int]cellOut, fails []sweep.CellFailure) []cellOut {
 	for i, c := range spliced {
 		out[i] = c
 	}
@@ -379,7 +362,50 @@ func runCells(p Params, n int, prepare func(pending []int) error, body func(ctx 
 			*p.holes = append(*p.holes, f.Err.Error())
 		}
 	}
-	return out, nil
+	return out
+}
+
+// storeLookups is lookup-before-simulate: it returns each cell's store
+// key (nil without a store) and the cells the store already holds. Hits
+// splice in around the engine — no execution, no monitor callbacks —
+// which is what lets a warm rerun assert zero simulations. An
+// undecodable payload (schema drift across versions) degrades to a miss;
+// the re-simulated result re-Puts and heals the store, since the latest
+// record for a key wins.
+func (p Params) storeLookups(n int) ([]string, map[int]cellOut) {
+	spliced := map[int]cellOut{}
+	if p.Store == nil {
+		return nil, spliced
+	}
+	keys := make([]string, n)
+	for i := 0; i < n; i++ {
+		keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
+		raw, _, ok := p.Store.Get(keys[i])
+		if !ok {
+			continue
+		}
+		var c cellOut
+		if err := json.Unmarshal(raw, &c); err != nil {
+			continue
+		}
+		spliced[i] = c
+		if p.OnStoreHit != nil {
+			p.OnStoreHit(p.expID, i, false)
+		}
+	}
+	return keys, spliced
+}
+
+// pendingCells lists, in order, the cells of [0, n) the store did not
+// serve.
+func pendingCells(n int, spliced map[int]cellOut) []int {
+	pending := make([]int, 0, n-len(spliced))
+	for i := 0; i < n; i++ {
+		if _, ok := spliced[i]; !ok {
+			pending = append(pending, i)
+		}
+	}
+	return pending
 }
 
 // storeCell runs one missing cell under the store's singleflight: the
@@ -432,10 +458,10 @@ func (p Params) storeCell(ctx context.Context, key string, cell int, body func()
 	return c, nil
 }
 
-// runSims executes one simulation per cell across p.workers() workers and
-// returns the cell outcomes in cell order. Each runner appends cells in
-// exactly the order its serial assembly consumes them, so parallel output
-// is byte-identical to serial.
+// runSims simulates the cells across p.workers() workers and returns the
+// cell outcomes in cell order. Each runner appends cells in exactly the
+// order its serial assembly consumes them, so parallel output is
+// byte-identical to serial.
 //
 // Each distinct workload's image is built (and predecoded) exactly once
 // and shared read-only by every cell that runs it — machines copy code
@@ -443,7 +469,9 @@ func (p Params) storeCell(ctx context.Context, key string, cell int, body func()
 // each distinct warm state is likewise built once (see warmCells) and
 // every cell starts from a copy of it. Each worker owns a
 // pipeline.Recycler so consecutive cells on that worker reuse the big
-// simulator allocations.
+// simulator allocations. Cells that differ only in their return stacks
+// run as lockstep units (see runUnits); under per-cell instrumentation,
+// the watchdog or retry, every cell runs as its own simulation.
 func runSims(p Params, cells []simCell) ([]cellOut, error) {
 	if onSims != nil {
 		onSims(cells)
@@ -457,6 +485,9 @@ func runSims(p Params, cells []simCell) ([]cellOut, error) {
 		return nil, err
 	}
 	rec := p.newRecyclers()
+	if !p.soloCells() {
+		return p.runUnits(cells, ims, rec)
+	}
 	var warm []warmed // per cell; nil without a warm-up
 	var prepare func([]int) error
 	if p.Warmup > 0 {
@@ -480,6 +511,7 @@ func runSims(p Params, cells []simCell) ([]cellOut, error) {
 			sim, err = simulateCell(i, c.w, ims[c.w.Name], c.cfg, p, rec.of(worker), from)
 			if err == nil {
 				out = cellOut{Sim: sim.Stats()}
+				unitStats.simulated.Add(1)
 			}
 		})
 		return out, err
@@ -569,8 +601,18 @@ func (p Params) ctx() context.Context {
 // experiment and cell, so CPU/goroutine profiles of a sweep (rasbench
 // -pprof, the live telemetry endpoint) attribute samples to cells.
 func (p Params) doCell(ctx context.Context, cell int, fn func()) {
+	p.doCells(ctx, []int{cell}, fn)
+}
+
+// doCells is doCell for a simulation carrying several cells: the cell
+// label lists them, comma-separated.
+func (p Params) doCells(ctx context.Context, cells []int, fn func()) {
+	ids := make([]string, len(cells))
+	for k, c := range cells {
+		ids[k] = strconv.Itoa(c)
+	}
 	pprof.Do(ctx,
-		pprof.Labels("experiment", p.expID, "cell", strconv.Itoa(cell)),
+		pprof.Labels("experiment", p.expID, "cell", strings.Join(ids, ",")),
 		func(context.Context) { fn() })
 }
 

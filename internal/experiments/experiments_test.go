@@ -355,3 +355,13 @@ func TestResultHelpers(t *testing.T) {
 		t.Error("put/get broken")
 	}
 }
+
+// TestRepeatedWorkloadRejected: a workload named twice is refused, as an
+// unknown one is, instead of simulating its cells twice under a store
+// scope no plain run shares.
+func TestRepeatedWorkloadRejected(t *testing.T) {
+	_, err := Run("t3", Params{InstBudget: 1_000, Workloads: []string{"go", "li", "go"}})
+	if err == nil || !strings.Contains(err.Error(), `workload "go" is listed twice`) {
+		t.Fatalf("err = %v, want the repeated workload named", err)
+	}
+}

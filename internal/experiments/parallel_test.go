@@ -9,12 +9,15 @@ import (
 // structured values and rendered tables. t3 covers the plain simCell path
 // (workloads x repair policies); f2 covers a depth sweep whose cells share
 // a workload but differ in configuration; t3 after a warm-up has four
-// workers start cells from each shared warm state at once.
+// workers start cells from each shared warm state at once. f1 and a5 form
+// the largest lockstep units (14 and 6 members) with the most forks, so
+// under four workers which worker runs each forked carrier, and when,
+// varies from run to run; the results must not.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name, id string
 		warmup   uint64
-	}{{"t3", "t3", 0}, {"f2", "f2", 0}, {"t3-warmup", "t3", 20_000}} {
+	}{{"t3", "t3", 0}, {"f2", "f2", 0}, {"t3-warmup", "t3", 20_000}, {"f1", "f1", 0}, {"a5", "a5", 0}} {
 		id := tc.id
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

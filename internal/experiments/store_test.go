@@ -188,9 +188,12 @@ func TestStoreRefusesFaultInjection(t *testing.T) {
 // the experiments layer (run under -race in CI): four identical sweeps
 // racing on one cold store must persist each cell exactly once — every
 // other caller either joins the in-flight simulation or hits the record
-// it left behind — and all four must render identical tables.
+// it left behind — simulate each cell exactly once between them, and all
+// four must render identical tables. t3's cells run as lockstep units, so
+// a racer joins a unit's lead flight and then finds its members stored.
 func TestConcurrentRunsShareFlights(t *testing.T) {
 	st := openStore(t, t.TempDir())
+	simulated := unitStats.simulated.Load()
 	const racers = 4
 	results := make([]*Result, racers)
 	errs := make([]error, racers)
@@ -219,6 +222,9 @@ func TestConcurrentRunsShareFlights(t *testing.T) {
 	}
 	if got := s.Hits + s.Shared; got != (racers-1)*8 {
 		t.Errorf("hits+shared = %d, want %d: every non-leader must hit or join a flight", got, (racers-1)*8)
+	}
+	if n := unitStats.simulated.Load() - simulated; n != 8 {
+		t.Errorf("the racers simulated %d cells between them, want 8", n)
 	}
 }
 

@@ -15,28 +15,41 @@ import (
 // — allocates nothing per cycle.
 func TestSteadyStateStepAllocs(t *testing.T) {
 	im := mustAssemble(t, corruptorProgram)
-	s, err := New(config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), im)
+	single, err := New(config.Baseline().WithPolicy(core.RepairTOSPointerAndContents), im)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5000; i++ { // warm caches, pools, and the overlay table
-		if err := s.StepForTest(); err != nil {
-			t.Fatal(err)
+	// A lockstep carrier of mixed-policy members, full-stack included,
+	// packs every member's checkpoint into pooled buffers.
+	var members []config.Config
+	for _, pol := range core.Policies() {
+		members = append(members, config.Baseline().WithPolicy(pol))
+	}
+	members = append(members, config.Baseline().WithPolicy(core.RepairFullStack).WithRASEntries(8))
+	carrier, err := NewLockstep(members, im, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Sim{"single": single, "lockstep carrier": carrier} {
+		for i := 0; i < 5000; i++ { // warm caches, pools, and the overlay table
+			if err := s.StepForTest(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	n := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 200; i++ {
-			_ = s.StepForTest()
+		n := testing.AllocsPerRun(20, func() {
+			for i := 0; i < 200; i++ {
+				_ = s.StepForTest()
+			}
+		})
+		if s.Done() {
+			t.Fatalf("%s: program finished during measurement; shorten the warmup", name)
 		}
-	})
-	if s.Done() {
-		t.Fatal("program finished during measurement; shorten the warmup")
-	}
-	if n != 0 {
-		t.Fatalf("steady-state stepping allocates %v times per 200 cycles, want 0", n)
-	}
-	if s.Stats().Recoveries == 0 {
-		t.Fatal("workload produced no recoveries; the pin is vacuous")
+		if n != 0 {
+			t.Fatalf("%s: steady-state stepping allocates %v times per 200 cycles, want 0", name, n)
+		}
+		if s.Stats().Recoveries == 0 {
+			t.Fatalf("%s: workload produced no recoveries; the pin is vacuous", name)
+		}
 	}
 }
 

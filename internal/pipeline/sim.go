@@ -36,6 +36,7 @@ type Sim struct {
 	tcache  *bpred.TargetCache // allocated only when a role uses it
 
 	sharedRAS core.ReturnStack // used when stacks are unified (or single-path)
+	lockstep  *core.Lockstep   // sharedRAS, when the Sim carries a lockstep unit
 
 	ruu      []ruuEntry
 	ruuState []uint8 // lifecycle flags, parallel to ruu (see ruuValid)
@@ -152,18 +153,10 @@ func newSim(cfg config.Config, machs []*emu.Machine, r *Recycler) *Sim {
 		r = NewRecycler() // an empty pool: everything is allocated fresh
 	}
 	s := &Sim{
-		cfg: cfg,
-		hier: cache.NewHierarchy(cache.HierarchyConfig{
-			L1I: cache.Config{Name: "l1i", SizeBytes: cfg.L1I.SizeBytes, Ways: cfg.L1I.Ways,
-				LineBytes: cfg.L1I.LineBytes, HitLatency: cfg.L1I.HitLatency},
-			L1D: cache.Config{Name: "l1d", SizeBytes: cfg.L1D.SizeBytes, Ways: cfg.L1D.Ways,
-				LineBytes: cfg.L1D.LineBytes, HitLatency: cfg.L1D.HitLatency},
-			L2: cache.Config{Name: "l2", SizeBytes: cfg.L2.SizeBytes, Ways: cfg.L2.Ways,
-				LineBytes: cfg.L2.LineBytes, HitLatency: cfg.L2.HitLatency},
-			MemLatency: cfg.MemLatency,
-		}, &r.lines),
+		cfg:  cfg,
+		hier: newHierarchy(cfg, &r.lines),
 		btb:  bpred.NewBTB(cfg.BTBSets, cfg.BTBWays, &r.btbs),
-		conf: bpred.NewConfidence(10, 4, cfg.ConfThreshold),
+		conf: newConfidence(cfg),
 
 		ruu:      r.ruu.Take(cfg.RUUSize),
 		ruuState: make([]uint8, cfg.RUUSize),
@@ -173,15 +166,7 @@ func newSim(cfg config.Config, machs []*emu.Machine, r *Recycler) *Sim {
 		cpFree:   r.takeBufs(),
 		ovFree:   r.takeOverlays(),
 	}
-	switch cfg.DirPred {
-	case config.DirGShare:
-		s.dirPred = bpred.NewGShare(cfg.GAgHistBits)
-	case config.DirBimodal:
-		s.dirPred = bpred.NewBimodal(1 << cfg.GAgHistBits)
-	default:
-		s.hybrid = bpred.NewHybridSized(cfg.GAgHistBits, cfg.PAgEntries, cfg.PAgHistBits, cfg.SelectorSize)
-		s.dirPred = s.hybrid
-	}
+	s.dirPred, s.hybrid = newDirPred(cfg)
 
 	nPaths := cfg.MaxPaths
 	if len(machs) > nPaths {
@@ -227,6 +212,38 @@ func newSim(cfg config.Config, machs []*emu.Machine, r *Recycler) *Sim {
 	}
 	s.mach = s.threads[0].mach
 	return s
+}
+
+// newHierarchy builds cfg's cache hierarchy, drawing the line arrays from
+// pool.
+func newHierarchy(cfg config.Config, pool *cache.Pool) *cache.Hierarchy {
+	return cache.NewHierarchy(cache.HierarchyConfig{
+		L1I: cache.Config{Name: "l1i", SizeBytes: cfg.L1I.SizeBytes, Ways: cfg.L1I.Ways,
+			LineBytes: cfg.L1I.LineBytes, HitLatency: cfg.L1I.HitLatency},
+		L1D: cache.Config{Name: "l1d", SizeBytes: cfg.L1D.SizeBytes, Ways: cfg.L1D.Ways,
+			LineBytes: cfg.L1D.LineBytes, HitLatency: cfg.L1D.HitLatency},
+		L2: cache.Config{Name: "l2", SizeBytes: cfg.L2.SizeBytes, Ways: cfg.L2.Ways,
+			LineBytes: cfg.L2.LineBytes, HitLatency: cfg.L2.HitLatency},
+		MemLatency: cfg.MemLatency,
+	}, pool)
+}
+
+// newConfidence builds cfg's fork-confidence estimator.
+func newConfidence(cfg config.Config) *bpred.Confidence {
+	return bpred.NewConfidence(10, 4, cfg.ConfThreshold)
+}
+
+// newDirPred builds cfg's direction predictor, and returns it a second
+// time as a hybrid when it is one.
+func newDirPred(cfg config.Config) (bpred.DirectionPredictor, *bpred.Hybrid) {
+	switch cfg.DirPred {
+	case config.DirGShare:
+		return bpred.NewGShare(cfg.GAgHistBits), nil
+	case config.DirBimodal:
+		return bpred.NewBimodal(1 << cfg.GAgHistBits), nil
+	}
+	h := bpred.NewHybridSized(cfg.GAgHistBits, cfg.PAgEntries, cfg.PAgHistBits, cfg.SelectorSize)
+	return h, h
 }
 
 // pathByToken resolves a token to its live path context, or nil. Path slots
@@ -327,6 +344,16 @@ func (s *Sim) Done() bool { return s.done }
 // Run simulates until the program exits or maxInsts instructions have
 // committed (0 = unbounded). It returns the first simulation error.
 func (s *Sim) Run(maxInsts uint64) error {
+	_, err := run(s, maxInsts)
+	return err
+}
+
+// run is Run for a Sim that may carry a lockstep stack: such a run also
+// stops at the end of a cycle in which the stack's members popped
+// different targets, and reports that it did. Statistics are folded only
+// when the run ends, so a run stopped at a fork point resumes with a
+// further call as if it had never stopped.
+func run(s *Sim, maxInsts uint64) (forked bool, _ error) {
 	s.maxInsts = maxInsts
 	// Hard backstop so a misconfigured machine cannot loop forever: no
 	// real workload commits fewer than one instruction per 10k cycles.
@@ -336,11 +363,14 @@ func (s *Sim) Run(maxInsts uint64) error {
 		if maxInsts > 0 && s.stats.Committed >= maxInsts {
 			break
 		}
+		if s.lockstep != nil && s.lockstep.Diverged() {
+			return true, nil
+		}
 		s.step()
 		if s.stats.Committed == lastCommitted {
 			deadCycles++
 			if deadCycles > 200_000 {
-				return fmt.Errorf("pipeline: no commit progress for %d cycles at cycle %d (pc=%#x)",
+				return false, fmt.Errorf("pipeline: no commit progress for %d cycles at cycle %d (pc=%#x)",
 					deadCycles, s.cycle, s.paths[0].fetchPC)
 			}
 		} else {
@@ -349,13 +379,13 @@ func (s *Sim) Run(maxInsts uint64) error {
 		}
 	}
 	if s.runErr != nil {
-		return s.runErr
+		return false, s.runErr
 	}
 	// Fold per-path stack stats that are still live into the aggregate.
 	s.foldLiveStackStats()
 	s.foldPredecodeStats()
 	s.foldBlockStats()
-	return nil
+	return false, nil
 }
 
 // foldPredecodeStats snapshots the per-machine predecode counters into the
