@@ -23,7 +23,6 @@
 // Resilience (see README "Robustness"):
 //
 //	rasbench -exp all -on-cell-error=skip        # hole failed cells, keep going
-//	rasbench -exp all -on-cell-error=retry       # retry transient failures
 //	rasbench -exp all -cell-timeout 5m           # per-cell watchdog
 //	rasbench -exp t3 -inject panic:3             # dev: deterministic fault injection
 //
@@ -106,18 +105,16 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "capture per-cell JSONL event traces with misprediction attribution into this directory (inspect with rastrace)")
 		traceBuf    = flag.Int("trace-buf", pipeline.DefaultTraceBuf, "per-cell causal ring capacity in events for -trace-out attribution")
 
-		onCellError  = flag.String("on-cell-error", "abort", "failed-cell policy: abort | skip (hole the cell, keep sweeping) | retry (transient errors, bounded backoff)")
-		retries      = flag.Int("retries", 3, "max attempts per cell under -on-cell-error=retry")
-		retryBackoff = flag.Duration("retry-backoff", 100*time.Millisecond, "initial backoff between retry attempts (doubles per attempt)")
-		cellTimeout  = flag.Duration("cell-timeout", 0, "per-cell watchdog: abandon a cell producing no result within this duration (0 = off)")
-		scale        = flag.Bool("scale", false, "run the scalability family (p1-p3): sweep -parallel across -scale-levels, report throughput/utilization/determinism")
-		scaleOut     = flag.String("scale-out", "", "write the machine-readable scaling report (BENCH_scaling.json) to this file")
-		scaleLevels  = flag.String("scale-levels", "", "comma-separated parallelism levels for -scale (default: 1..GOMAXPROCS)")
-		scaleTarget  = flag.String("scale-target", experiments.ScalingTarget, "experiment the scaling family sweeps")
+		onCellError = flag.String("on-cell-error", "abort", "failed-cell policy: abort | skip (hole the cell, keep sweeping)")
+		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell watchdog: abandon a cell producing no result within this duration (0 = off)")
+		scale       = flag.Bool("scale", false, "run the scalability family (p1-p3): sweep -parallel across -scale-levels, report throughput/utilization/determinism")
+		scaleOut    = flag.String("scale-out", "", "write the machine-readable scaling report (BENCH_scaling.json) to this file")
+		scaleLevels = flag.String("scale-levels", "", "comma-separated parallelism levels for -scale (default: 1..GOMAXPROCS)")
+		scaleTarget = flag.String("scale-target", experiments.ScalingTarget, "experiment the scaling family sweeps")
 
 		storePath     = flag.String("store", "", "content-addressed result store directory: cells already cached splice in without simulating, misses are persisted for the next run")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "after the run, evict oldest store segments until the store fits this many bytes (0 = never evict)")
-		injectSpec    = flag.String("inject", "", "dev: deterministic fault plan, e.g. 'panic:3,transient:t3/5x2,hang:7,corrupt:2'")
+		injectSpec    = flag.String("inject", "", "dev: deterministic fault plan, e.g. 'panic:3,hang:t3/7,corrupt:2' (a fault fires every time its cell runs)")
 		injectSeed    = flag.Uint64("inject-seed", 1, "seed for the -inject corruption address sequence")
 	)
 	flag.Parse()
@@ -249,8 +246,7 @@ func main() {
 	}
 	params := experiments.Params{
 		InstBudget: *insts, Warmup: *warmup, Parallel: *parallel,
-		Ctx: ctx, OnCellError: policy, RetryAttempts: *retries, RetryBackoff: *retryBackoff,
-		CellTimeout: *cellTimeout, Inject: plan,
+		Ctx: ctx, OnCellError: policy, CellTimeout: *cellTimeout, Inject: plan,
 	}
 	if *bench != "" {
 		params.Workloads = strings.Split(*bench, ",")
@@ -525,7 +521,7 @@ func reportSweep(w io.Writer, id string, workers int, timing *sweep.Timing) {
 		return
 	}
 	// Clamp the utilization denominator to workers that actually ran a
-	// cell: a 2-cell sweep under -parallel 8 ran on 2 workers (the engine
+	// cell: a 2-cell sweep under -parallel 8 ran on 2 workers (the sweep
 	// clamps), and dividing by 8 would report idle workers that never
 	// existed.
 	effective := sweep.Workers(workers)

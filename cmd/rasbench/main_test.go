@@ -180,32 +180,19 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
-// TestInjectedFaultsSurviveRetry: with bounded injected faults and the
-// retry policy, the CLI's output is byte-identical to a clean run — the
-// harness absorbs its own sabotage.
-func TestInjectedFaultsSurviveRetry(t *testing.T) {
+// TestRetiredRetryInputsFail: the retired retry policy, its flags and the
+// fault-plan forms that existed for it are refused with a non-zero exit.
+func TestRetiredRetryInputsFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	args := []string{"-exp", "t3", "-insts", "40000", "-bench", "go,li"}
-	clean := rasbench(t, args...)
-	var cleanOut bytes.Buffer
-	clean.Stdout = &cleanOut
-	if err := clean.Run(); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-
-	hurt := rasbench(t, append([]string{
-		"-inject", "panic:1x2,transient:5x2", "-on-cell-error", "retry", "-retry-backoff", "1ms",
-	}, args...)...)
-	var hurtOut, hurtErr bytes.Buffer
-	hurt.Stdout, hurt.Stderr = &hurtOut, &hurtErr
-	if err := hurt.Run(); err != nil {
-		t.Fatalf("injected run failed despite retry policy: %v (stderr: %s)", err, hurtErr.String())
-	}
-	if !bytes.Equal(cleanOut.Bytes(), hurtOut.Bytes()) {
-		t.Errorf("injected+retried stdout differs from clean run\n--- clean ---\n%s--- injected ---\n%s",
-			cleanOut.String(), hurtOut.String())
+	for _, args := range [][]string{
+		{"-on-cell-error", "retry"}, {"-retries", "3"}, {"-retry-backoff", "10ms"},
+		{"-inject", "transient:3"}, {"-inject", "panic:3x2"},
+	} {
+		if out, err := rasbench(t, append(args, "-exp", "t1")...).CombinedOutput(); err == nil {
+			t.Errorf("rasbench %v succeeded:\n%s", args, out)
+		}
 	}
 }
 
@@ -217,7 +204,7 @@ func TestSkipPolicyEmitsCSVHole(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	cmd := rasbench(t, "-exp", "t3", "-insts", "40000", "-bench", "go,li",
-		"-format", "csv", "-inject", "panic:3x9", "-on-cell-error", "skip")
+		"-format", "csv", "-inject", "panic:3", "-on-cell-error", "skip")
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
@@ -226,6 +213,10 @@ func TestSkipPolicyEmitsCSVHole(t *testing.T) {
 	csv := out.String()
 	if !strings.Contains(csv, "# hole: t3: sweep: cell 3") {
 		t.Errorf("CSV output carries no hole comment:\n%s", csv)
+	}
+	// The hole names where the panic happened, not the recover plumbing.
+	if !strings.Contains(csv, "at faultinject/faultinject.go:") {
+		t.Errorf("hole comment does not name the panic site:\n%s", csv)
 	}
 	// Cell 3 is (go, full): its series must be absent, its siblings present.
 	if strings.Contains(csv, "t3,hit,go,full,") {

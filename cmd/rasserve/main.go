@@ -15,8 +15,8 @@
 // because the cells that finished before the crash are result-store hits.
 //
 // Serving degrades instead of failing: a per-campaign cell-error policy
-// (on_cell_error: abort|skip|retry) turns experiment errors into explicit
-// holes rather than dead campaigns, and a result-store I/O fault (disk
+// (on_cell_error: abort|skip) turns experiment errors into explicit holes
+// rather than dead campaigns, and a result-store I/O fault (disk
 // full, failed fsync) flips the server into compute-without-cache mode —
 // campaigns keep completing, cell_cached provenance just stops — surfaced
 // on /healthz, /readyz, and the retstack_server_degraded gauge.
@@ -33,7 +33,7 @@
 //	GET  /readyz                   readiness + boot recovery counters
 //	GET  /experiments              reproducible artifacts (id + title)
 //	POST /campaigns                submit {"exps":["t3"],"insts":60000,"workloads":["go","li"],
-//	                                       "on_cell_error":"skip","retries":3,"cell_timeout_ms":60000}
+//	                                       "on_cell_error":"skip","cell_timeout_ms":60000}
 //	GET  /campaigns                all campaigns, submission order
 //	GET  /campaigns/{id}           one campaign's status and counters
 //	GET  /campaigns/{id}/results   stream events as JSONL (?sse=1 for SSE;
@@ -175,11 +175,10 @@ func main() {
 	os.Exit(exit)
 }
 
-// campaignSpec is the POST /campaigns request body. The policy triple
-// (on_cell_error, retries, cell_timeout_ms) is the sweep engine's
-// failure policy surfaced per campaign: "skip" turns a failing cell into
-// an explicit hole in the tables instead of a dead experiment, "retry"
-// re-runs transient failures, and the timeout arms the per-cell
+// campaignSpec is the POST /campaigns request body. on_cell_error and
+// cell_timeout_ms are experiments.Params' failure policy surfaced per
+// campaign: "skip" turns a failing cell into an explicit hole in the
+// tables instead of a dead experiment, and the timeout arms the per-cell
 // watchdog.
 type campaignSpec struct {
 	Exps          []string      `json:"exps"`
@@ -187,7 +186,6 @@ type campaignSpec struct {
 	Warmup        uint64        `json:"warmup,omitempty"`
 	Workloads     []string      `json:"workloads,omitempty"`
 	OnCellError   sweep.OnError `json:"on_cell_error,omitempty"`
-	Retries       int           `json:"retries,omitempty"`
 	CellTimeoutMS int64         `json:"cell_timeout_ms,omitempty"`
 }
 
@@ -286,13 +284,13 @@ func (c *campaign) next(i int) ([]json.RawMessage, bool, <-chan struct{}) {
 }
 
 // campMonitor feeds sweep-cell lifecycle into the campaign stream. Cells
-// spliced in before the sweep never reach the engine, so CellDone mostly
-// counts actual simulations — the "executed" number a warm resubmit
-// drives to zero. A cell can still resolve from the store *inside* the
-// engine (it became resident mid-campaign, or a shared flight): those
-// fire both OnStoreHit and CellDone, so CellDone consults the campaign's
-// cached set (written by OnStoreHit before the cell returns) and skips
-// the executed counter for them.
+// spliced in before the sweep never reach the cell scheduler, so CellDone
+// mostly counts actual simulations — the "executed" number a warm
+// resubmit drives to zero. A cell can still resolve from the store
+// *inside* the sweep (it became resident mid-campaign, or a shared
+// flight): those fire both OnStoreHit and CellDone, so CellDone consults
+// the campaign's cached set (written by OnStoreHit before the cell
+// returns) and skips the executed counter for them.
 type campMonitor struct {
 	c   *campaign
 	exp string
@@ -394,7 +392,15 @@ func (s *server) recover() (recovered, requeued int) {
 		if t, err := time.Parse(time.RFC3339Nano, rc.Submitted); err == nil {
 			c.Submitted = t
 		}
-		specOK := rc.Spec != nil && json.Unmarshal(rc.Spec, &c.Spec) == nil
+		// A spec that no longer decodes (one naming a retired cell-error
+		// policy, say) cannot be re-run either; its decode error says why.
+		specErr := "campaign log lost the spec"
+		if rc.Spec != nil {
+			specErr = ""
+			if err := json.Unmarshal(rc.Spec, &c.Spec); err != nil {
+				specErr = "campaign spec no longer decodes: " + err.Error()
+			}
+		}
 
 		s.mu.Lock()
 		if n, err := strconv.Atoi(strings.TrimPrefix(rc.ID, "c")); err == nil && n > s.nextID {
@@ -414,13 +420,13 @@ func (s *server) recover() (recovered, requeued int) {
 				}
 			}
 			c.appendDone(rc.Status, rc.Error)
-		case !specOK:
-			// The log lost the submit record (torn segment): there is
-			// nothing to re-run. Terminal-fail it so it stops being
-			// re-adopted forever.
+		case specErr != "":
+			// The log lost the submit record (torn segment), or its spec
+			// no longer decodes: there is nothing to re-run. Terminal-fail
+			// it so it stops being re-adopted forever.
 			s.logAppend(campaignlog.Record{Type: campaignlog.TypeDone, ID: c.ID,
-				Status: "failed", Error: "campaign log lost the spec"})
-			c.appendDone("failed", "campaign log lost the spec")
+				Status: "failed", Error: specErr})
+			c.appendDone("failed", specErr)
 		default:
 			c.Recovered = true
 			c.mu.Lock()
@@ -626,9 +632,6 @@ func normalize(spec campaignSpec) (campaignSpec, error) {
 			return spec, fmt.Errorf("workload %q is listed twice", wl)
 		}
 	}
-	if spec.Retries < 0 {
-		return spec, fmt.Errorf("retries must be >= 0, got %d", spec.Retries)
-	}
 	if spec.CellTimeoutMS < 0 {
 		return spec, fmt.Errorf("cell_timeout_ms must be >= 0, got %d", spec.CellTimeoutMS)
 	}
@@ -714,9 +717,6 @@ func (s *server) params(c *campaign, exp string) experiments.Params {
 		Ctx:         s.ctx,
 		OnCellError: c.Spec.OnCellError,
 		Monitor:     &campMonitor{c: c, exp: exp},
-	}
-	if c.Spec.Retries > 0 {
-		p.RetryAttempts = c.Spec.Retries
 	}
 	if c.Spec.CellTimeoutMS > 0 {
 		p.CellTimeout = time.Duration(c.Spec.CellTimeoutMS) * time.Millisecond

@@ -196,6 +196,48 @@ func TestDurableReadoption(t *testing.T) {
 	_ = srv2
 }
 
+// TestReadoptionFailsUndecodableSpec: a log written before the retry
+// policy was retired can hold a spec saying "on_cell_error":"retry". A
+// campaign still running at the restart fails with the spec's decode
+// error, not as a lost spec; a completed one logged the same way still
+// serves its tables from the log; and a campaign whose submit record is
+// gone still fails as a lost spec.
+func TestReadoptionFailsUndecodableSpec(t *testing.T) {
+	queueDir := t.TempDir()
+	spec := json.RawMessage(`{"exps":["t1"],"insts":15000,"on_cell_error":"retry","retries":3}`)
+	qlog, err := campaignlog.Open(queueDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []campaignlog.Record{
+		{Type: campaignlog.TypeSubmit, ID: "c1", Spec: spec},
+		{Type: campaignlog.TypeState, ID: "c1", Status: "running", Attempt: 1},
+		{Type: campaignlog.TypeSubmit, ID: "c2", Spec: spec},
+		{Type: campaignlog.TypeTable, ID: "c2", Exp: "t1", Table: "== t1 ==\n"},
+		{Type: campaignlog.TypeDone, ID: "c2", Status: "completed"},
+		{Type: campaignlog.TypeState, ID: "c3", Status: "running", Attempt: 1},
+	} {
+		if err := qlog.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := qlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := durableServer(t, t.TempDir(), queueDir)
+	got := waitTerminal(t, ts, "c1")
+	if got.Status != "failed" || !strings.Contains(got.Error, `unknown cell-error policy "retry" (want abort or skip)`) {
+		t.Errorf("retry campaign ended %q (%s), want failed with the decode error", got.Status, got.Error)
+	}
+	if code, tables := get(t, ts, "/campaigns/c2/tables"); code != http.StatusOK || tables != "== t1 ==\n" {
+		t.Errorf("completed retry campaign's tables: %d %q, want 200 and the logged table", code, tables)
+	}
+	if got := waitTerminal(t, ts, "c3"); got.Status != "failed" || got.Error != "campaign log lost the spec" {
+		t.Errorf("spec-less campaign ended %q (%s), want failed as a lost spec", got.Status, got.Error)
+	}
+}
+
 // TestServeDegradedMode: a store whose Puts start failing must not fail
 // campaigns — they complete uncached, the server reports degraded on
 // /healthz and the retstack_server_degraded gauge, and later campaigns
@@ -271,12 +313,14 @@ func TestServeCompletedWithErrors(t *testing.T) {
 	}
 }
 
-// TestServeBadPolicy: the policy knobs validate at submission.
+// TestServeBadPolicy: the policy knobs validate at submission, and the
+// retired retry policy and its retries field are refused.
 func TestServeBadPolicy(t *testing.T) {
 	_, ts := testServer(t)
 	for _, tc := range []struct{ name, spec string }{
 		{"bad on_cell_error", `{"exps":["t3"],"on_cell_error":"explode"}`},
-		{"negative retries", `{"exps":["t3"],"retries":-1}`},
+		{"retired retry policy", `{"exps":["t3"],"on_cell_error":"retry"}`},
+		{"retired retries", `{"exps":["t3"],"retries":3}`},
 		{"negative timeout", `{"exps":["t3"],"cell_timeout_ms":-5}`},
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.spec))

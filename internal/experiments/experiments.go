@@ -50,7 +50,7 @@ type Params struct {
 	// observational — it cannot affect results (asserted by
 	// TestTelemetryDoesNotPerturb).
 	Monitor sweep.Monitor
-	// OnWorkerStats, if non-nil, receives the engine's per-worker
+	// OnWorkerStats, if non-nil, receives the cell scheduler's per-worker
 	// accounting (cells started/finished, busy and queue-wait wall clock)
 	// after each sweep completes. An experiment that sweeps more than once
 	// fires it once per sweep; accumulate by Worker index. Strictly
@@ -74,18 +74,17 @@ type Params struct {
 	// failing cell, no watchdog, no store, no injection.
 
 	// Ctx cancels the sweep between cells: once done, no new cells are
-	// claimed, in-flight cells drain, and Run returns Ctx.Err().
+	// started, in-flight cells drain, and Run returns Ctx.Err().
 	Ctx context.Context
 	// OnCellError selects what a failing cell does to the sweep: abort
-	// (default), skip (an explicit hole in the tables), or retry.
+	// (default) or skip (an explicit hole in the tables). Every cell is
+	// deterministic, so a cell that fails once fails on every run.
 	OnCellError sweep.OnError
-	// RetryAttempts and RetryBackoff shape the retry policy (<=0 selects
-	// the sweep package defaults: 3 attempts, 100ms doubling backoff).
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	// CellTimeout arms the per-cell watchdog. When set, worker-pooled
-	// simulator recycling is disabled: an abandoned attempt may still be
-	// running when the worker claims its next cell, so they must not
+	// CellTimeout arms the per-cell watchdog: every cell runs as its own
+	// simulation, and one producing no result within the limit is
+	// abandoned and fails with a *sweep.TimeoutError. Worker-pooled
+	// simulator recycling is disabled: an abandoned cell may still be
+	// running when the worker starts its next one, so they must not
 	// share storage.
 	CellTimeout time.Duration
 	// Inject is the parsed -inject fault plan (nil injects nothing).
@@ -93,7 +92,7 @@ type Params struct {
 	// Store, when non-nil, is the content-addressed result cache (the
 	// rasbench -store flag, rasserve's backing store): before a cell
 	// simulates, the store is probed under CellKey(StoreScope, exp, cell)
-	// and a hit is spliced in around the sweep engine — no execution, no
+	// and a hit is spliced in around the cell scheduler — no execution, no
 	// monitor callbacks. Misses simulate inside the store's singleflight
 	// (concurrent identical cells collapse into one simulation) and the
 	// result is appended crash-safely before the cell counts as done, so
@@ -248,6 +247,9 @@ func Run(id string, p Params) (*Result, error) {
 	if p.InstBudget == 0 {
 		p.InstBudget = DefaultParams().InstBudget
 	}
+	if p.Store != nil && p.Inject != nil {
+		return nil, fmt.Errorf("experiments: %s: the result store cannot be combined with fault injection: injected cells would poison the cache", id)
+	}
 	p.expID = id
 	var holes []string
 	p.holes = &holes
@@ -296,78 +298,9 @@ type workloadProfile struct {
 	P95Depth int    `json:"p95_depth"`
 }
 
-// runCells is the one-simulation-per-cell sweep core: t2, and every
-// runSims call that must run its cells solo, fan out through it. On top
-// of the engine's determinism contract it adds, per Params:
-//
-//   - cancellation: the sweep stops claiming cells once p.Ctx is done;
-//   - fault injection: p.Inject's harness faults fire at the top of each
-//     attempt, so panics/hangs/transients hit exactly the chosen cells;
-//   - failure policy: retry with backoff, or skip — recording the failure
-//     as an explicit hole on the Result;
-//   - caching and resume: with p.Store set, cells resident in the
-//     content-addressed store splice in without executing (no monitor
-//     callbacks), and misses simulate under the store's singleflight and
-//     are fsynced before they count as done — so a rerun of an
-//     interrupted sweep picks up every cell that finished.
-//
-// prepare, when non-nil, runs after the store lookups and before the
-// sweep, with the indices of the cells that missed the store in order.
-func runCells(p Params, n int, prepare func(pending []int) error, body func(ctx context.Context, worker, i int) (cellOut, error)) ([]cellOut, error) {
-	if p.Store != nil && p.Inject != nil {
-		return nil, fmt.Errorf("%s: the result store cannot be combined with fault injection: injected cells would poison the cache", p.expID)
-	}
-	keys, spliced := p.storeLookups(n)
-	if prepare != nil {
-		if err := prepare(pendingCells(n, spliced)); err != nil {
-			return nil, err
-		}
-	}
-	pol := sweep.Policy{
-		OnError:       p.OnCellError,
-		MaxAttempts:   p.RetryAttempts,
-		Backoff:       p.RetryBackoff,
-		CellTimeout:   p.CellTimeout,
-		OnWorkerStats: p.OnWorkerStats,
-	}
-	if len(spliced) > 0 {
-		pol.Skip = func(cell int) bool { _, ok := spliced[cell]; return ok }
-	}
-	out, fails, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), n, p.Monitor, pol,
-		func(ctx context.Context, worker, i int) (cellOut, error) {
-			if err := p.Inject.Harness(ctx, p.expID, i); err != nil {
-				return cellOut{}, err
-			}
-			if p.Store == nil {
-				return body(ctx, worker, i)
-			}
-			return p.storeCell(ctx, keys[i], i, func() (cellOut, error) { return body(ctx, worker, i) })
-		})
-	if err != nil {
-		return nil, err
-	}
-	return p.assemble(out, spliced, fails), nil
-}
-
-// assemble completes a sweep's outcomes: the cells the store served, and
-// an explicit hole, recorded on the Result, for each failure (in cell
-// order).
-func (p Params) assemble(out []cellOut, spliced map[int]cellOut, fails []sweep.CellFailure) []cellOut {
-	for i, c := range spliced {
-		out[i] = c
-	}
-	for _, f := range fails {
-		out[f.Cell] = cellOut{} // explicit hole
-		if p.holes != nil {
-			*p.holes = append(*p.holes, f.Err.Error())
-		}
-	}
-	return out
-}
-
 // storeLookups is lookup-before-simulate: it returns each cell's store
 // key (nil without a store) and the cells the store already holds. Hits
-// splice in around the engine — no execution, no monitor callbacks —
+// splice in around the scheduler — no execution, no monitor callbacks —
 // which is what lets a warm rerun assert zero simulations. An
 // undecodable payload (schema drift across versions) degrades to a miss;
 // the re-simulated result re-Puts and heals the store, since the latest
@@ -408,56 +341,6 @@ func pendingCells(n int, spliced map[int]cellOut) []int {
 	return pending
 }
 
-// storeCell runs one missing cell under the store's singleflight: the
-// first caller for a key simulates and persists; concurrent callers for
-// the same key (identical cells across overlapping campaigns) block and
-// share that result instead of re-simulating. The leader returns its
-// in-memory cellOut directly — never a decode of the stored bytes — so a
-// cold cached run executes exactly the path an uncached run does.
-//
-// ctx is the cell attempt's context: a waiter gives up when its own
-// watchdog fires instead of inheriting an abandoned leader's hang, and a
-// leader's cancellation makes the next caller re-simulate rather than
-// share the cancellation error (see resultstore.Do).
-func (p Params) storeCell(ctx context.Context, key string, cell int, body func() (cellOut, error)) (cellOut, error) {
-	var computed cellOut
-	raw, _, outcome, err := p.Store.Do(ctx, key, func() ([]byte, resultstore.Provenance, error) {
-		var err error
-		computed, err = body()
-		if err != nil {
-			return nil, resultstore.Provenance{}, err
-		}
-		rawb, err := json.Marshal(computed)
-		return rawb, resultstore.Provenance{Scope: p.StoreScope, Exp: p.expID, Cell: cell}, err
-	})
-	if err != nil {
-		// A storage I/O failure is not a cell failure: it can only
-		// surface here on the leader path after a *successful* compute
-		// (waiters never adopt a leader's error, and Do performs no I/O
-		// before Put), so `computed` holds a valid result. Return it
-		// uncached and let the caller degrade to compute-without-cache
-		// instead of failing a campaign on a full disk.
-		if resultstore.IsIO(err) {
-			if p.OnStoreFault != nil {
-				p.OnStoreFault(err)
-			}
-			return computed, nil
-		}
-		return cellOut{}, err
-	}
-	if outcome == resultstore.Computed {
-		return computed, nil
-	}
-	var c cellOut
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return cellOut{}, fmt.Errorf("store %s cell %d: %w", p.expID, cell, err)
-	}
-	if p.OnStoreHit != nil {
-		p.OnStoreHit(p.expID, cell, outcome == resultstore.SharedFlight)
-	}
-	return c, nil
-}
-
 // runSims simulates the cells across p.workers() workers and returns the
 // cell outcomes in cell order. Each runner appends cells in exactly the
 // order its serial assembly consumes them, so parallel output is
@@ -470,52 +353,13 @@ func (p Params) storeCell(ctx context.Context, key string, cell int, body func()
 // every cell starts from a copy of it. Each worker owns a
 // pipeline.Recycler so consecutive cells on that worker reuse the big
 // simulator allocations. Cells that differ only in their return stacks
-// run as lockstep units (see runUnits); under per-cell instrumentation,
-// the watchdog or retry, every cell runs as its own simulation.
+// run as lockstep units; under per-cell instrumentation or the watchdog,
+// every cell is a unit of one (see runUnits).
 func runSims(p Params, cells []simCell) ([]cellOut, error) {
 	if onSims != nil {
 		onSims(cells)
 	}
-	ws := make([]workloads.Workload, len(cells))
-	for i, c := range cells {
-		ws[i] = c.w
-	}
-	ims, err := buildImages(p, ws)
-	if err != nil {
-		return nil, err
-	}
-	rec := p.newRecyclers()
-	if !p.soloCells() {
-		return p.runUnits(cells, ims, rec)
-	}
-	var warm []warmed // per cell; nil without a warm-up
-	var prepare func([]int) error
-	if p.Warmup > 0 {
-		prepare = func(pending []int) (err error) {
-			warm, err = p.warmCells(cells, pending, ims, rec)
-			return err
-		}
-	}
-	return runCells(p, len(cells), prepare, func(ctx context.Context, worker, i int) (out cellOut, err error) {
-		p.doCell(ctx, i, func() {
-			c := cells[i]
-			var from *pipeline.WarmState
-			if warm != nil {
-				if err = warm[i].err; err != nil {
-					err = fmt.Errorf("%s: %w", c.w.Name, err)
-					return
-				}
-				from = warm[i].state
-			}
-			var sim *pipeline.Sim
-			sim, err = simulateCell(i, c.w, ims[c.w.Name], c.cfg, p, rec.of(worker), from)
-			if err == nil {
-				out = cellOut{Sim: sim.Stats()}
-				unitStats.simulated.Add(1)
-			}
-		})
-		return out, err
-	})
+	return p.runUnits(cells, false)
 }
 
 // onSims, when set, sees the cells of every runSims call before they
@@ -566,7 +410,7 @@ func (p Params) warmCells(cells []simCell, pending []int, ims map[string]*progra
 		}
 		groups[j] = append(groups[j], i)
 	}
-	built, _, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), len(groups), nil, sweep.Policy{}, func(ctx context.Context, worker, j int) (w warmed, _ error) {
+	built, err := sweep.Map(p.ctx(), p.workers(), len(groups), func(ctx context.Context, worker, j int) (w warmed, _ error) {
 		pprof.Do(ctx, pprof.Labels("experiment", p.expID, "phase", "warm"), func(context.Context) {
 			c := cells[groups[j][0]]
 			w.state, w.err = pipeline.Warm(c.cfg, ims[c.w.Name], p.Warmup, rec.of(worker))
@@ -638,7 +482,7 @@ func buildImages(p Params, ws []workloads.Workload) (map[string]*program.Image, 
 			distinct = append(distinct, w)
 		}
 	}
-	built, _, err := sweep.MapWorkersPolicy(p.ctx(), p.workers(), len(distinct), nil, sweep.Policy{}, func(_ context.Context, _, i int) (*program.Image, error) {
+	built, err := sweep.Map(p.ctx(), p.workers(), len(distinct), func(_ context.Context, _, i int) (*program.Image, error) {
 		im, err := buildFor(distinct[i], p)
 		if err != nil {
 			return nil, err
@@ -665,8 +509,8 @@ func buildImages(p Params, ws []workloads.Workload) (map[string]*program.Image, 
 type recyclers []*pipeline.Recycler
 
 // newRecyclers sizes the pool to the worker count — except under a cell
-// watchdog, where recycling is disabled entirely: an attempt the watchdog
-// abandoned may still be simulating when its worker claims the next cell,
+// watchdog, where recycling is disabled entirely: a cell the watchdog
+// abandoned may still be simulating when its worker starts the next cell,
 // and two simulations must never share pooled storage.
 func (p Params) newRecyclers() recyclers {
 	if p.CellTimeout > 0 {

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// TestParallelMatchesSerial is the sweep engine's determinism contract:
+// TestParallelMatchesSerial is the sweep's determinism contract:
 // running an experiment with any worker count must produce bit-identical
 // structured values and rendered tables. t3 covers the plain simCell path
 // (workloads x repair policies); f2 covers a depth sweep whose cells share

@@ -85,7 +85,7 @@ type ScalingWorker struct {
 // ScalingLevel is one -parallel setting's measurement.
 type ScalingLevel struct {
 	// Parallel is the requested -parallel value; Workers is the effective
-	// worker count after the engine's workers-vs-cells clamp.
+	// worker count after the sweep's workers-vs-cells clamp.
 	Parallel int `json:"parallel"`
 	Workers  int `json:"workers"`
 	Cells    int `json:"cells"`

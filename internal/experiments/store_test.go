@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"retstack/internal/resultstore"
+	"retstack/internal/sweep"
 )
 
 // storeParams mirrors resilParams: t3 over two workloads is 8 cells.
@@ -27,9 +30,9 @@ func openStore(t *testing.T, dir string) *resultstore.Store {
 	return st
 }
 
-// countingMonitor counts engine cell starts: a cell that splices from the
-// store never enters the sweep engine, so a fully-warm run must report
-// zero starts — the "zero simulations" half of the cache-smoke contract.
+// countingMonitor counts cell starts: a cell that splices from the store
+// never reaches the cell scheduler, so a fully-warm run must report zero
+// starts — the "zero simulations" half of the cache-smoke contract.
 type countingMonitor struct {
 	mu     sync.Mutex
 	starts int
@@ -45,10 +48,10 @@ func (m *countingMonitor) CellDone(cell, worker int, d time.Duration, err error)
 // TestStoreMatchesUncached is the byte-identity pin for the result store:
 // an uncached run, a cold cached run, and a warm run against a reopened
 // store must render identical tables, and the warm run must start no
-// cell in the engine. This warm half is also the resume contract: an
-// interrupted run resumes by rerunning against the same store. t2 rides
-// along because its cells carry the functional profile as well as the
-// simulation stats, and both must round-trip through a stored record.
+// cell. This warm half is also the resume contract: an interrupted run
+// resumes by rerunning against the same store. t2 rides along because
+// its cells carry the functional profile as well as the simulation
+// stats, and both must round-trip through a stored record.
 // With a warm-up, t3 over the eight workloads fast-forwards once per
 // workload, and only for cells the store lacks: the cold run builds 8
 // warm states and the warm rerun none.
@@ -109,7 +112,7 @@ func TestStoreMatchesUncached(t *testing.T) {
 				t.Errorf("warm stats = %+v, want %d hits, 0 misses, 0 puts", s, tc.cells)
 			}
 			if mon.starts != 0 {
-				t.Errorf("warm run started %d cells in the engine, want 0 (all spliced)", mon.starts)
+				t.Errorf("warm run started %d cells, want 0 (all spliced)", mon.starts)
 			}
 			if n := warmStatesBuilt.Load() - built; n != 0 {
 				t.Errorf("warm run built %d warm states, want 0", n)
@@ -178,7 +181,7 @@ func TestOnStoreHitCallback(t *testing.T) {
 func TestStoreRefusesFaultInjection(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	p := storeParams(st, "s")
-	p.Inject = mustPlan(t, "panic:0x1", 0)
+	p.Inject = mustPlan(t, "panic:0", 0)
 	if _, err := Run("t3", p); err == nil {
 		t.Fatal("Run with Store+Inject succeeded, want refusal")
 	}
@@ -225,6 +228,39 @@ func TestConcurrentRunsShareFlights(t *testing.T) {
 	}
 	if n := unitStats.simulated.Load() - simulated; n != 8 {
 		t.Errorf("the racers simulated %d cells between them, want 8", n)
+	}
+}
+
+// TestWatchdogBoundsStoreWait: under the watchdog, a cell whose key
+// another run is computing waits on that run's store flight for at most
+// the cell timeout, then becomes the cell's watchdog hole; the other
+// cells still run.
+func TestWatchdogBoundsStoreWait(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		st.Do(context.Background(), resultstore.CellKey("s", "t3", 0), func() ([]byte, resultstore.Provenance, error) {
+			close(started)
+			<-release
+			return nil, resultstore.Provenance{}, errors.New("the other run gave up")
+		})
+	}()
+	<-started
+	defer func() { close(release); <-done }()
+
+	p := storeParams(st, "s")
+	p.OnCellError = sweep.Skip
+	p.CellTimeout = 300 * time.Millisecond
+	res, err := Run("t3", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Holes) != 1 || !strings.HasPrefix(res.Holes[0], "sweep: cell 0: cell watchdog") {
+		t.Errorf("holes = %q, want cell 0's watchdog timeout", res.Holes)
+	}
+	if puts := st.Stats().Puts; puts != 7 {
+		t.Errorf("%d cells persisted, want the 7 cells no other run was computing", puts)
 	}
 }
 

@@ -1,14 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"retstack/internal/config"
 	"retstack/internal/core"
 	"retstack/internal/emu"
-	"retstack/internal/pipeline"
+	"retstack/internal/program"
 	"retstack/internal/stats"
+	"retstack/internal/workloads"
 )
 
 // runT1 prints the baseline machine description (the paper's Table 1).
@@ -36,44 +36,12 @@ func runT2(p Params) (*Result, error) {
 	// One cell per workload: the functional characterization run plus the
 	// baseline timing simulation. Both run the same prebuilt image — the
 	// functional machine copies code pages on write, so sharing is safe.
-	ims, err := buildImages(p, ws)
-	if err != nil {
-		return nil, err
+	cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
+	cells := make([]simCell, len(ws))
+	for i, w := range ws {
+		cells[i] = simCell{w, cfg}
 	}
-	rec := p.newRecyclers()
-	cells, err := runCells(p, len(ws), nil, func(ctx context.Context, worker, i int) (out cellOut, err error) {
-		p.doCell(ctx, i, func() {
-			w := ws[i]
-			m := emu.NewMachine()
-			m.Load(ims[w.Name])
-			if _, err2 := m.Run(p.InstBudget); err2 != nil {
-				err = fmt.Errorf("%s: %w", w.Name, err2)
-				return
-			}
-			cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
-			var from *pipeline.WarmState
-			if p.Warmup > 0 {
-				if from, err = pipeline.Warm(cfg, ims[w.Name], p.Warmup, rec.of(worker)); err != nil {
-					err = fmt.Errorf("%s: %w", w.Name, err)
-					return
-				}
-			}
-			sim, err2 := simulateCell(i, w, ims[w.Name], cfg, p, rec.of(worker), from)
-			if err2 != nil {
-				err = err2
-				return
-			}
-			out = cellOut{Sim: sim.Stats(), Profile: &workloadProfile{
-				Insts:    m.InstCount,
-				Calls:    m.Calls,
-				Returns:  m.Returns,
-				SumDepth: m.SumDepth,
-				MaxDepth: m.MaxDepth,
-				P95Depth: m.DepthHist.Percentile(95),
-			}}
-		})
-		return out, err
-	})
+	sims, err := p.runUnits(cells, true)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +50,7 @@ func runT2(p Params) (*Result, error) {
 	t := stats.NewTable("Workload summary ("+fmt.Sprintf("%d", p.InstBudget)+" insts simulated)",
 		"bench", "insts", "calls%", "returns%", "mean depth", "p95 depth", "max depth", "cond mispred%")
 	for i, w := range ws {
-		m, st := cells[i].Profile, cells[i].Stats()
+		m, st := sims[i].Profile, sims[i].Stats()
 		if m == nil || st == nil {
 			t.AddRow(w.Name, "-", "-", "-", "-", "-", "-", "-")
 			continue
@@ -113,6 +81,24 @@ func runT2(p Params) (*Result, error) {
 		"clones match their namesakes' qualitative control-flow profile (DESIGN.md §6), not their code",
 	}
 	return res, nil
+}
+
+// profileOf runs w's image on the functional emulator for budget
+// instructions and returns the counters Table 2 renders.
+func profileOf(w workloads.Workload, im *program.Image, budget uint64) (*workloadProfile, error) {
+	m := emu.NewMachine()
+	m.Load(im)
+	if _, err := m.Run(budget); err != nil {
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
+	}
+	return &workloadProfile{
+		Insts:    m.InstCount,
+		Calls:    m.Calls,
+		Returns:  m.Returns,
+		SumDepth: m.SumDepth,
+		MaxDepth: m.MaxDepth,
+		P95Depth: m.DepthHist.Percentile(95),
+	}, nil
 }
 
 // runT3 measures return-prediction hit rates per repair mechanism (the

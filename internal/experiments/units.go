@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,31 +14,44 @@ import (
 	"retstack/internal/program"
 	"retstack/internal/resultstore"
 	"retstack/internal/sweep"
+	"retstack/internal/workloads"
 )
 
+// One cell scheduler. Every cell a sweep simulates runs here, as a member
+// of a unit: a group of pending cells simulated together, lead first.
+//
 // Simulate once, fork where the stacks disagree. Most sweeps vary only the
 // return stack, and cells that differ only in it run cycle-identical
 // pipelines until their stacks first predict different targets for one
 // return (see pipeline.NewLockstep). runUnits therefore groups the pending
-// cells of a runSims call that share a workload, a start state (reset or
-// one warm state) and every Config field but the stack's depth, repair
-// policy and K, and runs each group as one lockstep unit: one simulation
-// that forks where its members' stacks disagree, each copy (a carrier of
-// the members that agree) becoming work any idle worker can take. Each
-// cell's result is its carrier's, so tables, Values and stored records are
-// those of one simulation per cell (TestGroupedMatchesSolo).
+// cells of a sweep that share a workload, a start state (reset or one warm
+// state) and every Config field but the stack's depth, repair policy and
+// K, and runs each group as one lockstep unit: one simulation that forks
+// where its members' stacks disagree, each copy (a carrier of the members
+// that agree) becoming work any idle worker can take. Each cell's result
+// is its carrier's, so tables, Values and stored records are those of one
+// simulation per cell (TestGroupedMatchesSolo).
 //
-// Per cell, everything a sweep promises still holds:
-//   - every announced cell gets one CellStart and one CellDone; a cell's
-//     duration is its share of the carriers that carried it (a carrier's
-//     time split evenly over its members), so the cells' durations sum to
-//     the workers' busy time;
-//   - a failing simulation fails every cell it carried, each as its own
-//     CellError: a hole each under skip;
+// Any other cell is a unit of one, its own simulation (see solo): a cell
+// no lockstep Sim can carry, t2's cells (which also profile their workload
+// on the functional emulator), and, when soloCells holds, every cell. A
+// unit of one fires its cell's injected harness fault and, under the cell
+// watchdog, runs on a goroutine the watchdog can abandon.
+//
+// Per cell, everything a sweep promises holds:
+//   - every started cell gets one CellStart and one CellDone, and a store
+//     hit gets neither; a cell's duration is its share of the carriers
+//     that carried it (a carrier's time split evenly over its members), so
+//     the cells' durations sum to the workers' busy time;
+//   - a failure is the cell's *sweep.CellError (a panic's a
+//     *sweep.PanicError naming the cell); a failing simulation fails every
+//     cell it carried. Under skip each is a hole, reported in cell order;
+//     under abort the sweep returns the lowest failing cell's error;
 //   - with a store, a unit runs inside the store flight of its lead (its
 //     lowest pending cell) and persists its other members before that
 //     flight completes, so a concurrent identical run shares the lead's
-//     flight and then finds the members stored;
+//     flight and then finds the members stored; misses are fsynced before
+//     they count as done, so rerunning an interrupted sweep resumes it;
 //   - cancellation and an aborting failure stop units and forks from
 //     starting; running carriers finish;
 //   - at most Params.Parallel simulations run at once: one per worker.
@@ -52,13 +63,11 @@ var unitStats struct {
 	formed, forks, simulated atomic.Int64
 }
 
-// soloCells reports whether every cell must run as its own simulation:
-// per-cell instrumentation (a tracer, a cycle sampler, injected faults)
-// sees one machine per cell, the watchdog abandons one cell at a time, and
-// retry re-runs one cell at a time.
+// soloCells reports whether every cell must be a unit of one: per-cell
+// instrumentation (a tracer, a cycle sampler, injected faults) sees one
+// machine per cell, and the watchdog abandons one cell at a time.
 func (p Params) soloCells() bool {
-	return p.Trace != nil || p.Sample != nil || p.Inject != nil || p.CellTimeout > 0 ||
-		p.OnCellError == sweep.Retry
+	return p.Trace != nil || p.Sample != nil || p.Inject != nil || p.CellTimeout > 0
 }
 
 // unit is a group of pending cells simulated together, lead first.
@@ -71,7 +80,7 @@ type unit struct {
 	// lead's result goes to the flight (leadOut, leadErr), not to the
 	// sweep, when its carrier ends.
 	flight  bool
-	leadOut *pipeline.Stats
+	leadOut cellOut
 	leadErr error
 }
 
@@ -81,25 +90,25 @@ type parked struct {
 	fork *pipeline.Fork
 }
 
-// unitWorker is one worker's recycler and accounting. Its clock (mark)
-// is charged either as busy time, to the cells of the carrier that ran,
-// or as waiting time.
+// unitWorker is one worker's recycler and accounting. Its clock is
+// charged either as busy time, to the cells of the carrier that ran, or
+// as waiting time.
 type unitWorker struct {
-	sweep.WorkerStats
-	rec  *pipeline.Recycler
-	mark time.Time
+	*sweep.Worker
+	rec *pipeline.Recycler
 }
 
 // grouper is one runUnits call's scheduler.
 type grouper struct {
-	p     Params
-	ctx   context.Context
-	cells []simCell
-	ims   map[string]*program.Image
-	warm  []warmed // per cell; nil without a warm-up
-	keys  []string // store keys; nil without a store
-	out   []cellOut
-	dur   []time.Duration // each cell's share of its carriers' time
+	p       Params
+	ctx     context.Context
+	cells   []simCell
+	profile bool // every cell also profiles its workload (t2)
+	ims     map[string]*program.Image
+	warm    []warmed // per cell; nil without a warm-up
+	keys    []string // store keys; nil without a store
+	out     []cellOut
+	dur     []time.Duration // each cell's share of its carriers' time
 
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -109,26 +118,34 @@ type grouper struct {
 	active  int      // carriers running
 	stopped bool
 
-	failMu sync.Mutex
-	errIdx int
-	errVal error
-	fails  []sweep.CellFailure
+	fails sweep.Failures
 }
 
 // errAbandoned is the CellDone error of a cell whose parked carrier never
 // started because an aborting failure stopped the sweep.
 var errAbandoned = errors.New("abandoned: the sweep stopped before this cell's carrier started")
 
-// runUnits is runSims' grouped path: store lookups, the warm phase, unit
-// formation, and the worker pool that runs units and their forks.
-func (p Params) runUnits(cells []simCell, ims map[string]*program.Image, rec recyclers) ([]cellOut, error) {
+// runUnits is the sweep: the image pre-phase, store lookups, the warm
+// phase, unit formation, and the worker pool that runs units and their
+// forks. With profile set every cell is a unit of one that also profiles
+// its workload on the functional emulator (t2's cells).
+func (p Params) runUnits(cells []simCell, profile bool) ([]cellOut, error) {
+	wls := make([]workloads.Workload, len(cells))
+	for i, c := range cells {
+		wls[i] = c.w
+	}
+	ims, err := buildImages(p, wls)
+	if err != nil {
+		return nil, err
+	}
+	rec := p.newRecyclers()
 	keys, spliced := p.storeLookups(len(cells))
 	pending := pendingCells(len(cells), spliced)
-	g := &grouper{p: p, ctx: p.ctx(), cells: cells, ims: ims, keys: keys,
-		out: make([]cellOut, len(cells)), dur: make([]time.Duration, len(cells)), errIdx: len(cells)}
+	g := &grouper{p: p, ctx: p.ctx(), cells: cells, profile: profile, ims: ims, keys: keys,
+		out: make([]cellOut, len(cells)), dur: make([]time.Duration, len(cells)),
+		fails: sweep.Failures{OnError: p.OnCellError}}
 	g.cond.L = &g.mu
 	if p.Warmup > 0 {
-		var err error
 		if g.warm, err = p.warmCells(cells, pending, ims, rec); err != nil {
 			return nil, err
 		}
@@ -145,7 +162,7 @@ func (p Params) runUnits(cells []simCell, ims map[string]*program.Image, rec rec
 	ws := make([]*unitWorker, workers)
 	var wg sync.WaitGroup
 	for i := range ws {
-		ws[i] = &unitWorker{WorkerStats: sweep.WorkerStats{Worker: i}, rec: rec.of(i), mark: time.Now()}
+		ws[i] = &unitWorker{Worker: sweep.NewWorker(i, p.Monitor), rec: rec.of(i)}
 		wg.Add(1)
 		go func(w *unitWorker) {
 			defer wg.Done()
@@ -162,24 +179,32 @@ func (p Params) runUnits(cells []simCell, ims map[string]*program.Image, rec rec
 	if p.OnWorkerStats != nil {
 		stats := make([]sweep.WorkerStats, workers)
 		for i, w := range ws {
-			stats[i] = w.WorkerStats
+			stats[i] = w.Stats
 		}
 		p.OnWorkerStats(stats)
 	}
-	if g.errVal != nil {
-		return nil, g.errVal
+	if err := g.fails.Err(); err != nil {
+		return nil, err
 	}
 	if err := g.ctx.Err(); err != nil {
 		return nil, err
 	}
-	sort.Slice(g.fails, func(a, b int) bool { return g.fails[a].Cell < g.fails[b].Cell })
-	return p.assemble(g.out, spliced, g.fails), nil
+	for i, c := range spliced {
+		g.out[i] = c
+	}
+	for _, f := range g.fails.Holes() {
+		g.out[f.Cell] = cellOut{} // explicit hole
+		if p.holes != nil {
+			*p.holes = append(*p.holes, f.Error())
+		}
+	}
+	return g.out, nil
 }
 
 // formUnits groups the pending cells. A cell joins the unit of the first
 // pending cell with its workload, start state and pipeline.LockstepKey; a
 // cell no lockstep Sim can carry, or whose warm-up failed, is a unit of
-// its own.
+// its own, and so is every cell of a profiling or solo sweep.
 func (g *grouper) formUnits(pending []int) []*unit {
 	type key struct {
 		workload string
@@ -188,13 +213,14 @@ func (g *grouper) formUnits(pending []int) []*unit {
 	}
 	index := map[key]*unit{}
 	var units []*unit
+	solo := g.profile || g.p.soloCells()
 	for _, i := range pending {
 		c := g.cells[i]
 		var from *pipeline.WarmState
 		if g.warm != nil {
 			from = g.warm[i].state
 		}
-		if !pipeline.Lockstepable(c.cfg) || (g.warm != nil && g.warm[i].err != nil) {
+		if solo || !pipeline.Lockstepable(c.cfg) || (g.warm != nil && g.warm[i].err != nil) {
 			units = append(units, &unit{cells: []int{i}})
 			continue
 		}
@@ -276,11 +302,7 @@ func (g *grouper) abandon(w *unitWorker, drained []parked) {
 				f.u.leadErr = reason
 				continue
 			}
-			if m := g.p.Monitor; m != nil {
-				m.CellDone(i, w.Worker, g.dur[i], &sweep.CellError{Cell: i, Attempt: 1, Err: reason})
-			}
-			w.Finished++
-			w.Errs++
+			w.Done(i, g.dur[i], &sweep.CellError{Cell: i, Err: reason})
 		}
 		g.carrierDone(f.u, false)
 	}
@@ -288,38 +310,42 @@ func (g *grouper) abandon(w *unitWorker, drained []parked) {
 
 // run runs one piece of work take returned.
 func (g *grouper) run(w *unitWorker, u *unit, f *parked) {
-	w.idle()
+	w.Idle()
 	if f != nil {
 		g.runCarrier(w, f.u, f.fork.Start(w.rec))
 		return
 	}
 	for _, i := range u.cells {
-		if m := g.p.Monitor; m != nil {
-			m.CellStart(i, w.Worker)
-		}
-		w.Started++
+		w.Start(i)
 	}
 	g.startUnit(w, u)
 }
 
 // startUnit runs a unit, inside its lead's store flight when there is a
-// store.
+// store. Under the watchdog, a wait on another run's flight gives up after
+// the cell timeout.
 func (g *grouper) startUnit(w *unitWorker, u *unit) {
 	if g.p.Store == nil {
 		g.runUnit(w, u)
 		return
 	}
+	ctx := g.ctx
+	if limit := g.p.CellTimeout; limit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, limit)
+		defer cancel()
+	}
 	lead := u.cells[0]
 	u.flight = true
 	computed := false
-	raw, _, outcome, err := g.p.Store.Do(g.ctx, g.keys[lead], func() ([]byte, resultstore.Provenance, error) {
+	raw, _, outcome, err := g.p.Store.Do(ctx, g.keys[lead], func() ([]byte, resultstore.Provenance, error) {
 		computed = true
 		g.runUnit(w, u)
 		g.await(w, u)
 		if u.leadErr != nil {
 			return nil, resultstore.Provenance{}, u.leadErr
 		}
-		b, err := json.Marshal(cellOut{Sim: u.leadOut})
+		b, err := json.Marshal(u.leadOut)
 		return b, resultstore.Provenance{Scope: g.p.StoreScope, Exp: g.p.expID, Cell: lead}, err
 	})
 	g.charge(w, []int{lead}) // the lead's record, or the wait for another run's flight
@@ -331,12 +357,15 @@ func (g *grouper) startUnit(w *unitWorker, u *unit) {
 		if err != nil && g.p.OnStoreFault != nil {
 			g.p.OnStoreFault(err)
 		}
-		g.out[lead] = cellOut{Sim: u.leadOut}
+		g.out[lead] = u.leadOut
 		unitStats.simulated.Add(1)
 		g.done(w, lead, nil)
 	case computed:
 		g.done(w, lead, err)
 	case err != nil: // gave up waiting for another run's flight
+		if errors.Is(err, context.DeadlineExceeded) && g.ctx.Err() == nil {
+			err = &sweep.TimeoutError{Cell: lead, Limit: g.p.CellTimeout}
+		}
 		for _, i := range u.cells {
 			g.done(w, i, err)
 		}
@@ -389,7 +418,7 @@ func (g *grouper) await(w *unitWorker, u *unit) {
 	for {
 		_, f, ok := g.take(w, u)
 		if !ok {
-			w.idle()
+			w.Idle()
 			return
 		}
 		g.run(w, nil, f)
@@ -409,29 +438,19 @@ func (g *grouper) runUnit(w *unitWorker, u *unit) {
 		}
 		from = g.warm[u.cells[0]].state
 	}
-	im := g.ims[lead.w.Name]
 	if len(u.cells) == 1 {
-		var sim *pipeline.Sim
-		err := protect(func() (err error) {
-			g.p.doCell(g.ctx, u.cells[0], func() {
-				sim, err = simulateCell(u.cells[0], lead.w, im, lead.cfg, g.p, w.rec, from)
-			})
-			return err
-		})
+		out, err := g.solo(w, u.cells[0], from)
 		g.charge(w, u.cells)
-		if err != nil {
-			g.finish(w, u, u.cells, nil, err)
-			return
-		}
-		g.finish(w, u, u.cells, []*pipeline.Stats{sim.Stats()}, nil)
+		g.finish(w, u, u.cells, []cellOut{out}, err)
 		return
 	}
+	im := g.ims[lead.w.Name]
 	cfgs := make([]config.Config, len(u.cells))
 	for k, i := range u.cells {
 		cfgs[k] = g.cells[i].cfg
 	}
 	var sim *pipeline.Sim
-	if err := protect(func() (err error) {
+	if err := sweep.Protect(u.cells[0], func() (err error) {
 		sim, err = pipeline.NewLockstep(cfgs, im, from, w.rec)
 		return err
 	}); err != nil {
@@ -449,17 +468,17 @@ func (g *grouper) runCarrier(w *unitWorker, u *unit, sim *pipeline.Sim) {
 	for {
 		cells := g.members(u, pipeline.Carried(sim))
 		var forks []*pipeline.Fork
-		var stats []*pipeline.Stats
-		err := protect(func() (err error) {
+		var outs []cellOut
+		err := sweep.Protect(cells[0], func() (err error) {
 			g.p.doCells(g.ctx, cells, func() { forks, err = pipeline.RunLockstep(sim, g.p.InstBudget) })
 			if err != nil || len(forks) > 0 {
 				return err
 			}
 			vals := make([]pipeline.Stats, len(cells))
-			stats = make([]*pipeline.Stats, len(cells))
+			outs = make([]cellOut, len(cells))
 			for k := range vals {
 				vals[k] = pipeline.StatsOf(sim, k)
-				stats[k] = &vals[k]
+				outs[k] = cellOut{Sim: &vals[k]}
 			}
 			sim.Release(w.rec)
 			return nil
@@ -469,7 +488,7 @@ func (g *grouper) runCarrier(w *unitWorker, u *unit, sim *pipeline.Sim) {
 			if err != nil {
 				err = fmt.Errorf("%s: %w", name, err)
 			}
-			g.finish(w, u, cells, stats, err)
+			g.finish(w, u, cells, outs, err)
 			return
 		}
 		unitStats.forks.Add(int64(len(forks)))
@@ -495,21 +514,21 @@ func (g *grouper) members(u *unit, ids []int) []int {
 	return cells
 }
 
-// finish records a carrier's end: each cell's result (stats[k] for
+// finish records a carrier's end: each cell's result (outs[k] for
 // cells[k]) and, with a store, its record, or err for every cell.
-func (g *grouper) finish(w *unitWorker, u *unit, cells []int, stats []*pipeline.Stats, err error) {
+func (g *grouper) finish(w *unitWorker, u *unit, cells []int, outs []cellOut, err error) {
 	for k, i := range cells {
 		if g.flightLead(u, i) {
 			if err != nil {
 				u.leadErr = err
 			} else {
-				u.leadOut = stats[k]
+				u.leadOut = outs[k]
 			}
 			continue
 		}
 		cerr := err
 		if err == nil {
-			g.out[i] = cellOut{Sim: stats[k]}
+			g.out[i] = outs[k]
 			unitStats.simulated.Add(1)
 			cerr = g.persist(i)
 		}
@@ -522,8 +541,8 @@ func (g *grouper) finish(w *unitWorker, u *unit, cells []int, stats []*pipeline.
 // its store flight.
 func (g *grouper) flightLead(u *unit, i int) bool { return u.flight && i == u.cells[0] }
 
-// persist stores a member's result, as storeCell's flight would. A
-// storage failure leaves the cell uncached, not failed.
+// persist stores a member's result, as the lead's flight stores the
+// lead's. A storage failure leaves the cell uncached, not failed.
 func (g *grouper) persist(i int) error {
 	if g.p.Store == nil {
 		return nil
@@ -554,32 +573,22 @@ func (g *grouper) carrierDone(u *unit, running bool) {
 }
 
 // done ends cell i on w: its CellDone, and, for an error, its failure
-// under the sweep's policy, as the sweep engine routes it.
+// under the sweep's policy: a hole under skip (cancellation is never a
+// hole), else an abort that keeps the lowest failing cell's error.
 func (g *grouper) done(w *unitWorker, i int, err error) {
+	var ce *sweep.CellError
 	if err != nil {
 		if pe, ok := err.(*sweep.PanicError); ok {
 			cp := *pe
 			cp.Cell = i
 			err = &cp
 		}
-		err = &sweep.CellError{Cell: i, Attempt: 1, Err: err}
+		ce = &sweep.CellError{Cell: i, Err: err}
+		err = ce
 	}
-	if m := g.p.Monitor; m != nil {
-		m.CellDone(i, w.Worker, g.dur[i], err)
-	}
-	w.Finished++
-	if err == nil {
+	w.Done(i, g.dur[i], err)
+	if err == nil || !g.fails.Add(ce) {
 		return
-	}
-	w.Errs++
-	g.failMu.Lock()
-	defer g.failMu.Unlock()
-	if g.p.OnCellError == sweep.Skip && !errors.Is(err, context.Canceled) {
-		g.fails = append(g.fails, sweep.CellFailure{Cell: i, Err: err})
-		return
-	}
-	if i < g.errIdx {
-		g.errIdx, g.errVal = i, err
 	}
 	g.mu.Lock()
 	g.stopped = true
@@ -590,30 +599,36 @@ func (g *grouper) done(w *unitWorker, i int, err error) {
 // charge ends w's current interval as busy time, shared evenly by the
 // cells that ran in it.
 func (g *grouper) charge(w *unitWorker, cells []int) {
-	now := time.Now()
-	d := now.Sub(w.mark)
-	w.mark = now
-	w.Busy += d
-	share := d / time.Duration(len(cells))
+	share := w.Busy() / time.Duration(len(cells))
 	for _, i := range cells {
 		g.dur[i] += share
 	}
 }
 
-// idle ends w's current interval as waiting time.
-func (w *unitWorker) idle() {
-	now := time.Now()
-	w.Wait += now.Sub(w.mark)
-	w.mark = now
-}
-
-// protect runs fn, converting a panic into a *sweep.PanicError as the
-// sweep engine does for a cell.
-func protect(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &sweep.PanicError{Value: r, Stack: debug.Stack()}
+// solo runs cell i as its own simulation, from the warm state from (nil:
+// from reset). The cell's injected harness fault fires first, a profiling
+// sweep's cell profiles its workload on the functional emulator, and the
+// whole body runs under the cell watchdog (sweep.Watch). Recycling is off
+// under the watchdog (see newRecyclers), so an abandoned body shares no
+// storage with the worker's next cell.
+func (g *grouper) solo(w *unitWorker, i int, from *pipeline.WarmState) (cellOut, error) {
+	c := g.cells[i]
+	im := g.ims[c.w.Name]
+	return sweep.Watch(g.ctx, g.p.CellTimeout, i, func(ctx context.Context) (out cellOut, err error) {
+		if err := g.p.Inject.Harness(ctx, g.p.expID, i); err != nil {
+			return out, err
 		}
-	}()
-	return fn()
+		g.p.doCell(ctx, i, func() {
+			if g.profile {
+				if out.Profile, err = profileOf(c.w, im, g.p.InstBudget); err != nil {
+					return
+				}
+			}
+			var sim *pipeline.Sim
+			if sim, err = simulateCell(i, c.w, im, c.cfg, g.p, w.rec, from); err == nil {
+				out.Sim = sim.Stats()
+			}
+		})
+		return out, err
+	})
 }

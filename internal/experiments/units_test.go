@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -228,67 +230,166 @@ func TestUnitFailureFailsEveryCell(t *testing.T) {
 	}
 }
 
-// TestGroupedCellAccounting: with lockstep units and forks in play, every
-// cell gets exactly one CellStart and one CellDone, the cells' durations
-// (shares of their carriers' time) sum to the workers' busy time within
-// 1%, utilization stays at most 1, and the per-worker cell counts sum to
-// the sweep's cells.
+// TestGroupedCellAccounting: with lockstep units and forks in play, and
+// with every cell a unit of one (a cycle sampler makes the run solo),
+// every cell gets exactly one CellStart and one CellDone, the cells'
+// durations (shares of their carriers' time) sum to the workers' busy
+// time within 1%, utilization stays at most 1, and the per-worker cell
+// counts sum to the sweep's cells.
 func TestGroupedCellAccounting(t *testing.T) {
-	timing := sweep.NewTiming()
-	counts := &cellCounts{starts: map[int]int{}, dones: map[int]int{}}
-	var workers []sweep.WorkerStats
-	p := Params{InstBudget: 20_000, Workloads: []string{"go", "li"}, Parallel: 2,
-		Monitor: sweep.Monitors(timing, counts),
-		OnWorkerStats: func(ws []sweep.WorkerStats) {
-			workers = append(workers, ws...)
-		}}
-	start := time.Now()
-	forks := unitStats.forks.Load()
-	if _, err := Run("f1", p); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	if unitStats.forks.Load() == forks {
-		t.Fatal("f1 forked no carrier: the accounting under forks is untested")
-	}
-	var busy time.Duration
-	started, finished := 0, 0
-	for _, w := range workers {
-		busy += w.Busy
-		started += w.Started
-		finished += w.Finished
-	}
-	cells := len(counts.starts)
-	if cells == 0 || started != cells || finished != cells {
-		t.Errorf("workers started %d and finished %d cells, the monitor saw %d", started, finished, cells)
-	}
-	for i := range counts.starts {
-		if counts.starts[i] != 1 || counts.dones[i] != 1 {
-			t.Errorf("cell %d: %d starts, %d dones, want one each", i, counts.starts[i], counts.dones[i])
+	for _, solo := range []bool{false, true} {
+		timing := sweep.NewTiming()
+		counts := newCellCounts()
+		var workers []sweep.WorkerStats
+		p := Params{InstBudget: 20_000, Workloads: []string{"go", "li"}, Parallel: 2,
+			Monitor: sweep.Monitors(timing, counts),
+			OnWorkerStats: func(ws []sweep.WorkerStats) {
+				workers = append(workers, ws...)
+			}}
+		if solo {
+			p.Sample = func(int, pipeline.Sample) {}
 		}
-	}
-	if got, want := timing.BusySeconds(), busy.Seconds(); got < 0.99*want || got > 1.01*want {
-		t.Errorf("cell durations sum to %.4fs, the workers were busy %.4fs", got, want)
-	}
-	if u := busy.Seconds() / (2 * wall.Seconds()); u > 1 {
-		t.Errorf("utilization %.3f > 1", u)
+		start := time.Now()
+		formed, forks := unitStats.formed.Load(), unitStats.forks.Load()
+		if _, err := Run("f1", p); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start)
+		if grouped := unitStats.forks.Load() > forks; grouped == solo {
+			t.Fatalf("solo=%v: f1 forked %d carriers", solo, unitStats.forks.Load()-forks)
+		}
+		if solo && unitStats.formed.Load() != formed {
+			t.Fatal("a solo run formed a multi-member unit")
+		}
+		var busy time.Duration
+		started, finished := 0, 0
+		for _, w := range workers {
+			busy += w.Busy
+			started += w.Started
+			finished += w.Finished
+		}
+		cells := len(counts.starts)
+		if cells == 0 || started != cells || finished != cells {
+			t.Errorf("solo=%v: workers started %d and finished %d cells, the monitor saw %d", solo, started, finished, cells)
+		}
+		counts.exactlyOnce(t)
+		if got, want := timing.BusySeconds(), busy.Seconds(); got < 0.99*want || got > 1.01*want {
+			t.Errorf("solo=%v: cell durations sum to %.4fs, the workers were busy %.4fs", solo, got, want)
+		}
+		if u := busy.Seconds() / (2 * wall.Seconds()); u > 1 {
+			t.Errorf("solo=%v: utilization %.3f > 1", solo, u)
+		}
 	}
 }
 
-// cellCounts counts each cell's monitor callbacks.
+// TestMonitorExactlyOnceUnderFailure is the Monitor contract under an
+// aborting failure: an injected panic fails cell 3, every started cell —
+// cells still running when it failed included — gets exactly one
+// CellDone, and the failing cell's CellDone carries its *PanicError.
+func TestMonitorExactlyOnceUnderFailure(t *testing.T) {
+	counts := newCellCounts()
+	p := resilParams()
+	p.Monitor = counts
+	p.Inject = mustPlan(t, "panic:3", 0)
+	_, err := Run("t3", p)
+	var ce *sweep.CellError
+	if !errors.As(err, &ce) || ce.Cell != 3 {
+		t.Fatalf("err = %v, want cell 3's *CellError", err)
+	}
+	counts.exactlyOnce(t)
+	var pe *sweep.PanicError
+	if !errors.As(counts.errs[3], &pe) || pe.Cell != 3 {
+		t.Errorf("cell 3's CellDone error = %v, want its *PanicError", counts.errs[3])
+	}
+}
+
+// TestMonitorExactlyOnceUnderCancellation: canceling at f1's first
+// CellDone, while its units have forked copies parked, stops the sweep
+// with context.Canceled, and every started cell still ends exactly once.
+// With one worker the cancellation comes from the only worker, so the
+// parked copies are certain and must end with the cancellation, and no
+// cell may start after it; two workers race it against running carriers.
+func TestMonitorExactlyOnceUnderCancellation(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		counts := newCellCounts()
+		counts.onDone = cancel
+		p := Params{InstBudget: 20_000, Workloads: []string{"go", "li"}, Parallel: parallel,
+			Ctx: ctx, Monitor: counts}
+		_, err := Run("f1", p)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallel %d: err = %v, want context.Canceled", parallel, err)
+		}
+		counts.exactlyOnce(t)
+		if parallel > 1 {
+			continue
+		}
+		abandoned := 0
+		for _, err := range counts.errs {
+			if errors.Is(err, context.Canceled) {
+				abandoned++
+			}
+		}
+		if abandoned == 0 {
+			t.Error("no parked copy ended with the cancellation")
+		}
+		if counts.late > 0 {
+			t.Errorf("%d cells started after the cancellation", counts.late)
+		}
+	}
+}
+
+// cellCounts records each cell's monitor callbacks and final error.
+// onDone, if set, runs after every CellDone; late counts the cells
+// started after the first onDone.
 type cellCounts struct {
 	mu            sync.Mutex
 	starts, dones map[int]int
+	errs          map[int]error
+	onDone        func()
+	stopped       bool
+	late          int
+}
+
+func newCellCounts() *cellCounts {
+	return &cellCounts{starts: map[int]int{}, dones: map[int]int{}, errs: map[int]error{}}
 }
 
 func (c *cellCounts) CellStart(cell, worker int) {
 	c.mu.Lock()
 	c.starts[cell]++
+	if c.stopped {
+		c.late++
+	}
 	c.mu.Unlock()
 }
 
 func (c *cellCounts) CellDone(cell, worker int, d time.Duration, err error) {
 	c.mu.Lock()
 	c.dones[cell]++
+	c.errs[cell] = err
+	c.stopped = c.onDone != nil
 	c.mu.Unlock()
+	if c.onDone != nil {
+		c.onDone()
+	}
+}
+
+// exactlyOnce checks that every started cell got one CellStart and one
+// CellDone, and that no cell ended without starting.
+func (c *cellCounts) exactlyOnce(t *testing.T) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, n := range c.starts {
+		if n != 1 || c.dones[i] != 1 {
+			t.Errorf("cell %d: %d starts, %d dones, want one each", i, n, c.dones[i])
+		}
+	}
+	for i := range c.dones {
+		if c.starts[i] == 0 {
+			t.Errorf("cell %d ended without starting", i)
+		}
+	}
 }

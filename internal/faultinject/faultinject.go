@@ -2,22 +2,22 @@
 // sweep harness — the adversarial counterpart to the paper's subject. The
 // paper studies how a return-address stack survives corruption by
 // wrong-path fetches; this package deliberately corrupts both the harness
-// (panicking, hanging, transiently failing chosen cells) and the simulated
-// RAS itself (overwriting top-of-stack entries mid-run), so the resilience
-// machinery and the repair mechanisms can be exercised on demand.
+// (panicking or hanging chosen cells) and the simulated RAS itself
+// (overwriting top-of-stack entries mid-run), so the resilience machinery
+// and the repair mechanisms can be exercised on demand.
 //
-// A Plan is parsed from the rasbench/hydrasim -inject dev flag:
+// A Plan is parsed from the rasbench -inject dev flag:
 //
-//	panic:3              cell 3 of every experiment panics (once)
-//	transient:t3/5x2     cell 5 of t3 fails transiently on attempts 1-2
-//	hang:7               cell 7 blocks until canceled (or MaxHang)
+//	panic:3              cell 3 of every experiment panics
+//	hang:t3/7            cell 7 of t3 blocks until canceled (or MaxHang)
 //	corrupt:2            cell 2's RAS top entry is overwritten periodically
 //
-// Everything is deterministic: faults fire by (experiment, cell, attempt)
-// and corruption addresses come from a seeded splitmix sequence keyed by
-// cycle, so an injected run is exactly reproducible: rerunning the same
-// plan and seed corrupts the same cells identically. (Injected runs never
-// touch the result store, so they have no resume; rerun them whole.)
+// Everything is deterministic: a fault fires every time its (experiment,
+// cell) runs, and corruption addresses come from a seeded splitmix
+// sequence keyed by cycle, so an injected run is exactly reproducible:
+// rerunning the same plan and seed corrupts the same cells identically.
+// (Injected runs never touch the result store, so they have no resume;
+// rerun them whole.)
 //
 // Paper alignment: corrupt faults must never crash a simulation. A
 // corrupted entry either gets repaired by the configured checkpoint
@@ -32,7 +32,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -45,15 +44,13 @@ const (
 	// KindHang blocks the cell until its context is canceled (or MaxHang
 	// elapses), exercising watchdogs and cancellation.
 	KindHang
-	// KindTransient returns a *TransientError, exercising retry.
-	KindTransient
 	// KindCorrupt overwrites the simulated RAS top entry periodically
 	// mid-run (see Disturb), exercising the paper's repair mechanisms.
 	KindCorrupt
 )
 
 var kindNames = map[string]Kind{
-	"panic": KindPanic, "hang": KindHang, "transient": KindTransient, "corrupt": KindCorrupt,
+	"panic": KindPanic, "hang": KindHang, "corrupt": KindCorrupt,
 }
 
 func (k Kind) String() string {
@@ -70,55 +67,26 @@ type Fault struct {
 	Kind Kind
 	Exp  string // experiment id; "" matches every experiment
 	Cell int
-	// Times is the number of attempts the fault fires on (attempts 1..
-	// Times); 0 means once. Bounding it lets every -on-cell-error policy
-	// survive the fault: retry outlasts it, skip holes it, abort stops.
-	Times int
-}
-
-func (f Fault) times() int {
-	if f.Times <= 0 {
-		return 1
-	}
-	return f.Times
 }
 
 func (f Fault) matches(exp string, cell int) bool {
 	return f.Cell == cell && (f.Exp == "" || f.Exp == exp)
 }
 
-// TransientError is the injected transient failure. Transient() marks it
-// retryable for policies that discriminate.
-type TransientError struct {
-	Exp     string
-	Cell    int
-	Attempt int
-}
-
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("faultinject: injected transient failure (exp %s cell %d attempt %d)",
-		e.Exp, e.Cell, e.Attempt)
-}
-
-// Transient reports that retrying can clear this error.
-func (e *TransientError) Transient() bool { return true }
-
 // Plan is a parsed injection plan. The zero value (and nil) injects
 // nothing; all methods are nil-safe so production paths carry no
-// conditionals.
+// conditionals. A Plan is read-only once parsed, so concurrent cells
+// share it freely.
 type Plan struct {
 	// Seed drives the corrupt-fault address sequence.
 	Seed uint64
 	// MaxHang bounds hang faults when nothing cancels the cell (default
-	// 30s); the fault then resolves as a transient error.
+	// 30s); the fault then fails the cell with an error.
 	MaxHang time.Duration
 	// DisturbEvery is the cycle period of corrupt faults (default 5000).
 	DisturbEvery uint64
 
 	faults []Fault
-
-	mu       sync.Mutex
-	attempts map[string]int
 }
 
 // Parse builds a Plan from a -inject spec (see the package comment). An
@@ -139,18 +107,14 @@ func Parse(spec string, seed uint64) (*Plan, error) {
 		}
 		kind, ok := kindNames[kindStr]
 		if !ok {
-			return nil, fmt.Errorf("faultinject: unknown kind %q (want panic, hang, transient, or corrupt)", kindStr)
+			return nil, fmt.Errorf("faultinject: unknown kind %q (want panic, hang, or corrupt)", kindStr)
 		}
 		f := Fault{Kind: kind}
 		if exp, rest, ok := strings.Cut(target, "/"); ok {
 			f.Exp, target = exp, rest
 		}
-		if cellStr, timesStr, ok := strings.Cut(target, "x"); ok {
-			times, err := strconv.Atoi(timesStr)
-			if err != nil || times < 1 {
-				return nil, fmt.Errorf("faultinject: %q: bad repeat count", part)
-			}
-			f.Times, target = times, cellStr
+		if strings.Contains(target, "x") {
+			return nil, fmt.Errorf("faultinject: %q: repeat counts are gone; a fault fires every time its cell runs", part)
 		}
 		cell, err := strconv.Atoi(target)
 		if err != nil || cell < 0 {
@@ -172,59 +136,35 @@ func (p *Plan) Faults() []Fault {
 	return out
 }
 
-// Harness fires any harness-level fault (panic, hang, transient) armed
-// for this cell. Call it at the top of a cell body, once per attempt; the
-// per-(experiment, cell) attempt counter makes bounded faults clear after
-// Fault.Times attempts so retry policies can outlast them.
+// Harness fires the harness-level fault (panic or hang) armed for this
+// cell, if any. Call it at the top of a cell body.
 func (p *Plan) Harness(ctx context.Context, exp string, cell int) error {
 	if p == nil {
 		return nil
 	}
-	var f *Fault
-	for i := range p.faults {
-		if p.faults[i].Kind != KindCorrupt && p.faults[i].matches(exp, cell) {
-			f = &p.faults[i]
-			break
+	for _, f := range p.faults {
+		if !f.matches(exp, cell) {
+			continue
 		}
-	}
-	if f == nil {
-		return nil
-	}
-	attempt := p.bumpAttempt(exp, cell)
-	if attempt > f.times() {
-		return nil
-	}
-	switch f.Kind {
-	case KindPanic:
-		panic(fmt.Sprintf("faultinject: injected panic (exp %s cell %d attempt %d)", exp, cell, attempt))
-	case KindHang:
-		limit := p.MaxHang
-		if limit <= 0 {
-			limit = 30 * time.Second
+		switch f.Kind {
+		case KindPanic:
+			panic(fmt.Sprintf("faultinject: injected panic (exp %s cell %d)", exp, cell))
+		case KindHang:
+			limit := p.MaxHang
+			if limit <= 0 {
+				limit = 30 * time.Second
+			}
+			t := time.NewTimer(limit)
+			defer t.Stop()
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-t.C:
+				return fmt.Errorf("faultinject: injected hang (exp %s cell %d) outlasted %v", exp, cell, limit)
+			}
 		}
-		t := time.NewTimer(limit)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			return &TransientError{Exp: exp, Cell: cell, Attempt: attempt}
-		}
-	case KindTransient:
-		return &TransientError{Exp: exp, Cell: cell, Attempt: attempt}
 	}
 	return nil
-}
-
-func (p *Plan) bumpAttempt(exp string, cell int) int {
-	key := exp + "/" + strconv.Itoa(cell)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.attempts == nil {
-		p.attempts = map[string]int{}
-	}
-	p.attempts[key]++
-	return p.attempts[key]
 }
 
 // Disturb reports whether a corrupt fault is armed for this cell and, if

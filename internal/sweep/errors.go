@@ -7,29 +7,24 @@ import (
 	"time"
 )
 
-// CellError attributes a cell failure to its index (and attempt, when the
-// retry policy ran the cell more than once). Every error the engine
-// returns or records — plain fn errors, converted panics, watchdog
+// CellError attributes a cell failure to its index. Every failure a sweep
+// returns or records — plain cell errors, converted panics, watchdog
 // timeouts — is wrapped in a CellError, so callers can always recover the
 // failing index with errors.As and reach the cause through Unwrap.
 type CellError struct {
-	Cell    int
-	Attempt int // 1-based attempt count that produced Err
-	Err     error
+	Cell int
+	Err  error
 }
 
 func (e *CellError) Error() string {
-	if e.Attempt > 1 {
-		return fmt.Sprintf("sweep: cell %d (attempt %d): %v", e.Cell, e.Attempt, e.Err)
-	}
 	return fmt.Sprintf("sweep: cell %d: %v", e.Cell, e.Err)
 }
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// TimeoutError reports a cell abandoned by the per-cell watchdog (see
-// Policy.CellTimeout). The cell goroutine may still be running — its
-// context was canceled, but the engine stops waiting for it — so its
+// TimeoutError reports a cell abandoned by the per-cell watchdog (the
+// rasbench -cell-timeout flag). The cell goroutine may still be running —
+// its context was canceled, but the sweep stops waiting for it — so its
 // result, if one ever arrives, is discarded.
 type TimeoutError struct {
 	Cell  int
@@ -76,25 +71,29 @@ func (e *PanicError) Verbose() string {
 	return fmt.Sprintf("sweep: cell %d panicked: %v\n%s", e.Cell, e.Value, e.Stack)
 }
 
-// panicSite extracts the innermost interesting frame ("file.go:123") from
-// the captured stack: the first file/line that is neither the runtime's
-// panic machinery nor this package's recover plumbing.
+// panicSite extracts where the panic happened ("file.go:123") from the
+// captured stack: the first frame below the runtime's panic frame that is
+// not itself in the runtime (a nil dereference passes through
+// runtime.sigpanic, say). Frames above the panic frame are the recover
+// plumbing, wherever it lives.
 func (e *PanicError) panicSite() string {
-	for _, line := range bytes.Split(e.Stack, []byte("\n")) {
-		// Frame location lines look like "\t/path/file.go:123 +0x1b".
-		if !bytes.HasPrefix(line, []byte("\t")) {
+	lines := bytes.Split(e.Stack, []byte("\n"))
+	panicked := false
+	// Each frame is a function line followed by a location line that
+	// looks like "\t/path/file.go:123 +0x1b".
+	for k := 0; k+1 < len(lines); k++ {
+		fn := string(lines[k])
+		if !bytes.HasPrefix(lines[k+1], []byte("\t")) {
 			continue
 		}
-		l := strings.TrimSpace(string(line))
-		if !strings.Contains(l, ".go:") {
+		if !panicked {
+			panicked = strings.HasPrefix(fn, "panic(")
 			continue
 		}
-		// Skip the runtime's panic machinery and this package's recover
-		// plumbing; the first frame left is where the panic happened.
-		if strings.Contains(l, "runtime/panic.go") || strings.Contains(l, "runtime/debug/stack.go") ||
-			strings.Contains(l, "internal/sweep/sweep.go") || strings.Contains(l, "internal/sweep/runner.go") {
+		if strings.HasPrefix(fn, "runtime.") {
 			continue
 		}
+		l := strings.TrimSpace(string(lines[k+1]))
 		if i := strings.IndexByte(l, ' '); i > 0 {
 			l = l[:i]
 		}
@@ -117,13 +116,4 @@ func oneLine(s string) string {
 		s = s[:max] + "..."
 	}
 	return s
-}
-
-// CellFailure is one hole in a skip-policy sweep: the cell that failed and
-// the (CellError-wrapped) reason. Holes are reported, sorted by cell, by
-// MapWorkersPolicy so the caller can render them explicitly instead of
-// silently dropping rows.
-type CellFailure struct {
-	Cell int
-	Err  error
 }

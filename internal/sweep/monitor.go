@@ -11,16 +11,85 @@ import (
 
 // Monitor observes sweep-cell lifecycle. Implementations are called
 // concurrently from worker goroutines and must be safe for that; they
-// must not influence cell execution. CellDone receives the error the cell
-// returned (including converted panics), after any recovery.
+// must not influence cell execution. Every started cell gets exactly one
+// CellStart and one CellDone; CellDone receives the cell's final error
+// (including converted panics), after any recovery.
 type Monitor interface {
 	CellStart(cell, worker int)
 	CellDone(cell, worker int, d time.Duration, err error)
 }
 
+// WorkerStats is one worker's accounting for a sweep: how many cells it
+// started and finished, how long it spent running cells (Busy), and how
+// long it spent between them, taking or waiting for work (Wait).
+// Busy/Wait cover the span from the worker's start to its last cell's
+// completion; utilization over w workers is sum(Busy) / (w × sweep wall
+// clock).
+type WorkerStats struct {
+	Worker   int
+	Started  int           // cells begun
+	Finished int           // cells that reached a final outcome
+	Errs     int           // cells whose final outcome was an error
+	Busy     time.Duration // wall clock running cells
+	Wait     time.Duration // wall clock between cells
+}
+
+// Worker is one sweep worker's side of the Monitor contract and its
+// accounting: Start and Done fire the callbacks of the cells the worker
+// starts and ends and count them, and Busy and Idle split the worker's
+// wall clock into time running cells and time between them. A Worker is
+// used by its own goroutine only.
+type Worker struct {
+	Stats   WorkerStats
+	monitor Monitor
+	mark    time.Time
+}
+
+// NewWorker returns worker id's accounting, its clock started now. m may
+// be nil.
+func NewWorker(id int, m Monitor) *Worker {
+	return &Worker{Stats: WorkerStats{Worker: id}, monitor: m, mark: time.Now()}
+}
+
+// Start begins cell: its CellStart.
+func (w *Worker) Start(cell int) {
+	if w.monitor != nil {
+		w.monitor.CellStart(cell, w.Stats.Worker)
+	}
+	w.Stats.Started++
+}
+
+// Done ends cell, which ran for d, with its final error: its CellDone.
+func (w *Worker) Done(cell int, d time.Duration, err error) {
+	if w.monitor != nil {
+		w.monitor.CellDone(cell, w.Stats.Worker, d, err)
+	}
+	w.Stats.Finished++
+	if err != nil {
+		w.Stats.Errs++
+	}
+}
+
+// Busy ends the worker's current interval as time spent running cells and
+// returns its length.
+func (w *Worker) Busy() time.Duration {
+	now := time.Now()
+	d := now.Sub(w.mark)
+	w.mark = now
+	w.Stats.Busy += d
+	return d
+}
+
+// Idle ends the worker's current interval as time spent between cells.
+func (w *Worker) Idle() {
+	now := time.Now()
+	w.Stats.Wait += now.Sub(w.mark)
+	w.mark = now
+}
+
 // Monitors fans callbacks out to several monitors, skipping nils. It
 // returns nil when nothing remains, so callers can pass the result
-// straight to MapWorkersPolicy.
+// straight to Params.Monitor.
 func Monitors(ms ...Monitor) Monitor {
 	kept := make(multiMonitor, 0, len(ms))
 	for _, m := range ms {
@@ -48,17 +117,6 @@ func (mm multiMonitor) CellDone(cell, worker int, d time.Duration, err error) {
 	}
 }
 
-// CellRetry forwards retry notifications to the members that observe them
-// (a combined monitor always satisfies RetryMonitor; members that do not
-// implement it simply never see retries).
-func (mm multiMonitor) CellRetry(cell, attempt int, err error) {
-	for _, m := range mm {
-		if rm, ok := m.(RetryMonitor); ok {
-			rm.CellRetry(cell, attempt, err)
-		}
-	}
-}
-
 // CellTiming is one finished cell's accounting.
 type CellTiming struct {
 	Cell    int
@@ -70,14 +128,14 @@ type CellTiming struct {
 
 // Timing collects per-cell wall-clock accounting for a sweep: cell
 // durations, per-worker busy time, and straggler identification. One
-// Timing may span several MapWorkersPolicy calls (an experiment that sweeps
-// more than once); records accumulate.
+// Timing may span several sweeps (an experiment that sweeps more than
+// once); records accumulate.
 //
 // Records land in per-worker shards: each worker appends to its own shard
 // under its own (uncontended) mutex, so concurrent CellDone callbacks from
 // different workers never serialize on a shared lock — the collector
 // itself must not become the cross-worker contention it exists to measure.
-// The shard index is the worker id the engine hands every callback.
+// The shard index is the worker id the sweep hands every callback.
 type Timing struct {
 	epoch time.Time
 
@@ -183,7 +241,7 @@ func (t *Timing) BusySeconds() float64 {
 
 // Workers returns how many distinct workers have recorded a cell — the
 // honest denominator for utilization when the requested worker count
-// exceeded the cell count (the engine clamps, so extra workers never
+// exceeded the cell count (the sweep clamps, so extra workers never
 // exist, and an idle-worker division would understate utilization).
 func (t *Timing) Workers() int {
 	n := 0
@@ -197,7 +255,7 @@ func (t *Timing) Workers() int {
 
 // Utilization returns aggregate worker utilization: busy time divided by
 // (workers × wall clock). 1.0 means no worker ever idled. Callers that
-// sized workers from the request rather than the engine should clamp by
+// sized workers from the request rather than the sweep should clamp by
 // Workers() — a sweep of 2 cells under -parallel 8 ran on 2 workers, not
 // 8. Non-positive worker counts and a zero-elapsed wall return 0 rather
 // than dividing by it.
@@ -285,7 +343,6 @@ type Progress struct {
 	running int
 	done    int
 	errs    int
-	retries int
 	width   int
 }
 
@@ -318,21 +375,10 @@ func (p *Progress) CellDone(cell, worker int, d time.Duration, err error) {
 	}
 	line := fmt.Sprintf("sweep %s: %d cells done (%d running), %.1f cells/s, elapsed %.1fs",
 		p.Label, p.done, p.running, rate, elapsed.Seconds())
-	if p.retries > 0 {
-		line += fmt.Sprintf(", %d retries", p.retries)
-	}
 	if p.errs > 0 {
 		line += fmt.Sprintf(", %d errors", p.errs)
 	}
 	p.write(line)
-}
-
-// CellRetry implements RetryMonitor: retried attempts show up in the
-// progress line so a sweep limping through transient failures is visible.
-func (p *Progress) CellRetry(cell, attempt int, err error) {
-	p.mu.Lock()
-	p.retries++
-	p.mu.Unlock()
 }
 
 // write repaints the line, padding over any longer previous content.

@@ -66,14 +66,35 @@ func TestPanicKeepsLowestIndexSemantics(t *testing.T) {
 	}
 }
 
+// TestProtectNamesThePanicSite: a panic recovered by Protect, as every
+// cell's is, names the panicking line — not the recover plumbing, and not
+// the runtime frames of a panic the runtime raised.
+func TestProtectNamesThePanicSite(t *testing.T) {
+	var nilMap map[string]int
+	for name, fn := range map[string]func() error{
+		"panic":   func() error { panic("kaboom") },
+		"runtime": func() error { nilMap["x"] = 1; return nil },
+	} {
+		var pe *PanicError
+		if err := Protect(4, fn); !errors.As(err, &pe) || pe.Cell != 4 ||
+			!strings.Contains(pe.Error(), " at sweep/monitor_test.go:") {
+			t.Errorf("%s: err = %v, want cell 4's *PanicError sited in this file", name, err)
+		}
+	}
+}
+
 // TestMonitorSeesEveryCell: CellStart/CellDone fire exactly once per cell
 // with matching worker ids and the cell's error.
 func TestMonitorSeesEveryCell(t *testing.T) {
 	const n = 100
 	var started, done [n]atomic.Int32
+	var startedOn [n]atomic.Int32
 	var errSeen atomic.Int32
 	m := monitorFuncs{
-		start: func(cell, worker int) { started[cell].Add(1) },
+		start: func(cell, worker int) {
+			started[cell].Add(1)
+			startedOn[cell].Store(int32(worker))
+		},
 		done: func(cell, worker int, d time.Duration, err error) {
 			done[cell].Add(1)
 			if err != nil {
@@ -81,6 +102,9 @@ func TestMonitorSeesEveryCell(t *testing.T) {
 			}
 			if d < 0 {
 				t.Errorf("cell %d: negative duration", cell)
+			}
+			if int32(worker) != startedOn[cell].Load() {
+				t.Errorf("cell %d: started on worker %d, done on %d", cell, startedOn[cell].Load(), worker)
 			}
 		},
 	}
@@ -199,7 +223,7 @@ func TestTimingIdleWorkers(t *testing.T) {
 		t.Errorf("utilization honest=%v padded=%v, want 0 < padded < honest", honest, padded)
 	}
 
-	// A negative worker id (no engine produces one, but the API tolerates
+	// A negative worker id (no sweep produces one, but the API tolerates
 	// it) clamps to shard 0 instead of indexing out of bounds.
 	timing.CellDone(2, -1, time.Millisecond, nil)
 	if got := len(timing.Cells()); got != 3 {
@@ -207,9 +231,9 @@ func TestTimingIdleWorkers(t *testing.T) {
 	}
 }
 
-// TestTimingIdleWorkersEngine drives the real engine with more workers
-// than cells: the engine clamps the pool, so utilization against
-// Workers() must stay in (0, 1].
+// TestTimingIdleWorkersEngine drives a real sweep with more workers than
+// cells: Map clamps the pool, so utilization against Workers() must stay
+// in (0, 1].
 func TestTimingIdleWorkersEngine(t *testing.T) {
 	timing := NewTiming()
 	err := run(8, 2, timing, func(i int) error {

@@ -13,7 +13,6 @@ const (
 	MetricSweepInflight    = "retstack_sweep_cells_inflight"
 	MetricSweepCompleted   = "retstack_sweep_cells_completed_total"
 	MetricSweepErrors      = "retstack_sweep_cell_errors_total"
-	MetricSweepRetries     = "retstack_sweep_cell_retries_total"
 	MetricSweepCellSeconds = "retstack_sweep_cell_seconds"
 	MetricSweepWorkerMs    = "retstack_sweep_worker_busy_ms_total"
 
@@ -92,8 +91,7 @@ type sweepWorkerCell struct {
 // Per-cell accounting lands in per-worker cells the owning worker alone
 // writes — no shared counter increments and no registry-lock lookups on
 // the cell hot path. The inflight gauge stays a live shared atomic (it is
-// a point-in-time quantity; deferring it would make it lie), and retries
-// stay shared (rare, and the retry callback carries no worker index).
+// a point-in-time quantity; deferring it would make it lie).
 // Call Drain after the sweep completes to fold the cells into the
 // registry; until then the completed/errors/seconds/worker-busy families
 // read as zero (they are registered eagerly so the schema is present
@@ -106,7 +104,6 @@ type SweepObserver struct {
 	inflight  *Gauge
 	completed *Counter
 	errors    *Counter
-	retries   *Counter
 	seconds   *Histogram
 
 	cells atomic.Pointer[[]*sweepWorkerCell]
@@ -126,8 +123,6 @@ func NewSweepObserver(reg *Registry, log *EventLog, labels ...string) *SweepObse
 			"sweep cells finished", labels...),
 		errors: reg.Counter(MetricSweepErrors,
 			"sweep cells finished with an error", labels...),
-		retries: reg.Counter(MetricSweepRetries,
-			"failed cell attempts that were retried", labels...),
 		seconds: reg.Histogram(MetricSweepCellSeconds,
 			"per-cell simulation wall clock", sweepCellBounds, labels...),
 	}
@@ -235,24 +230,6 @@ func (o *SweepObserver) Drain() {
 			append([]string{"worker", strconv.Itoa(w)}, o.labels...)...).Add(c.busyMs)
 		*c = sweepWorkerCell{}
 	}
-}
-
-// CellRetry implements sweep.RetryMonitor: a failed attempt the engine is
-// about to re-run. CellDone still fires exactly once per cell with the
-// final outcome; retries are visible only here.
-func (o *SweepObserver) CellRetry(cell, attempt int, err error) {
-	if o == nil {
-		return
-	}
-	o.retries.Inc()
-	fields := map[string]any{"cell": cell, "attempt": attempt}
-	for i := 0; i+1 < len(o.labels); i += 2 {
-		fields[o.labels[i]] = o.labels[i+1]
-	}
-	if err != nil {
-		fields["error"] = err.Error()
-	}
-	o.log.Emit("cell_retry", fields)
 }
 
 // PipelineMetrics aggregates simulator cycle samples into registry
