@@ -140,7 +140,12 @@ func (h *Hybrid) Predict(pc uint32) bool {
 
 // Update implements DirectionPredictor: trains the selector toward the
 // component that was correct (when they disagree), then both components.
-func (h *Hybrid) Update(pc uint32, taken bool) {
+func (h *Hybrid) Update(pc uint32, taken bool) { h.Train(pc, taken) }
+
+// Train is Update returning what Predict would have said just before it:
+// the prediction and the training in one pass over the tables, for a
+// caller that needs both.
+func (h *Hybrid) Train(pc uint32, taken bool) (predicted bool) {
 	gagPred := h.gag.Predict(pc)
 	pagPred := h.pag.Predict(pc)
 	useGAg := h.selector.Taken(h.gag.History())
@@ -161,6 +166,7 @@ func (h *Hybrid) Update(pc uint32, taken bool) {
 	// above) and PAg before advancing it.
 	h.pag.Update(pc, taken)
 	h.gag.Update(pc, taken)
+	return chosen
 }
 
 func b2u(b bool) uint32 {

@@ -34,6 +34,84 @@ func TestMemorySparse(t *testing.T) {
 	}
 }
 
+// TestMemoryPageCacheClone holds the two-entry page cache to a byte map:
+// word, halfword and byte accesses alternating over three pages (so every
+// access hits the first entry, hits the second and swaps, or misses)
+// must read back the last writes, on the memory and on a clone taken
+// mid-stream, and neither may see the other's later writes. A clone whose
+// cache entries still pointed at the original's pages would fail here.
+func TestMemoryPageCacheClone(t *testing.T) {
+	pages := []uint32{0x10000000, 0x7FFFE000, 0x10004000}
+	type side struct {
+		mem  *Memory
+		want map[uint32]byte
+	}
+	orig := &side{NewMemory(), map[uint32]byte{}}
+	seed := uint32(1)
+	rand := func() uint32 {
+		seed = seed*1103515245 + 12345
+		return seed >> 8
+	}
+	step := func(s *side, i int) {
+		// Two of every three accesses alternate between the first two
+		// pages; the third goes to the third page.
+		page := pages[i%2]
+		if i%3 == 2 {
+			page = pages[2]
+		}
+		addr := page + rand()%pageSize
+		size := []uint32{1, 2, 4}[rand()%3]
+		addr &^= size - 1
+		v := rand()
+		switch size {
+		case 1:
+			s.mem.Write8(addr, byte(v))
+		case 2:
+			s.mem.Write16(addr, uint16(v))
+		case 4:
+			s.mem.Write32(addr, v)
+		}
+		for b := uint32(0); b < size; b++ {
+			s.want[addr+b] = byte(v >> (8 * b))
+		}
+		probe := page + rand()%(pageSize-3)
+		want := uint32(s.want[probe]) | uint32(s.want[probe+1])<<8 |
+			uint32(s.want[probe+2])<<16 | uint32(s.want[probe+3])<<24
+		if got := s.mem.Read32(probe); got != want {
+			t.Fatalf("access %d: word at %#x = %#x, want %#x", i, probe, got, want)
+		}
+		if got, want := s.mem.Read16(probe), uint16(want); got != want {
+			t.Fatalf("access %d: halfword at %#x = %#x, want %#x", i, probe, got, want)
+		}
+		if got, want := s.mem.Read8(addr), s.want[addr]; got != want {
+			t.Fatalf("access %d: byte at %#x = %#x, want %#x", i, addr, got, want)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		step(orig, i)
+	}
+	want := make(map[uint32]byte, len(orig.want))
+	for k, v := range orig.want {
+		want[k] = v
+	}
+	clone := &side{orig.mem.clone(), want}
+	for i := 0; i < 6000; i++ {
+		// Alternate the two memories, each continuing its own stream.
+		s := orig
+		if i%2 == 1 {
+			s = clone
+		}
+		step(s, 3000+i/2)
+	}
+	for _, s := range []*side{orig, clone} {
+		for addr, v := range s.want {
+			if got := s.mem.Read8(addr); got != v {
+				t.Fatalf("byte at %#x = %#x, want %#x: a write crossed between the memory and its clone", addr, got, v)
+			}
+		}
+	}
+}
+
 func TestMemoryQuickWordRoundTrip(t *testing.T) {
 	m := NewMemory()
 	f := func(addr, v uint32) bool {

@@ -3,6 +3,7 @@ package emu
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -251,29 +252,22 @@ func (m *Machine) Step() (isa.Inst, Outcome, error) {
 // Run executes until halt or until maxInsts instructions have retired
 // (maxInsts <= 0 means unbounded). It returns the number of instructions
 // executed by this call. With a predecode plane attached (and blocks not
-// disabled) it dispatches basic blocks through the fast interpreter in
-// block.go; otherwise it is the classic one-Step-per-iteration loop. The
-// two produce bit-identical architectural state, output, and errors.
+// disabled) it dispatches basic blocks through the block loop in
+// block.go; otherwise it is the classic one-Step-per-instruction loop.
+// The two produce bit-identical architectural state, output, and errors.
 func (m *Machine) Run(maxInsts uint64) (uint64, error) {
-	if m.noBlocks || m.plane == nil {
-		return m.runSteps(maxInsts)
+	if maxInsts == 0 {
+		maxInsts = math.MaxUint64
 	}
-	return m.runBlocks(maxInsts)
+	return m.run(maxInsts, nil)
 }
 
-// runSteps is the reference single-instruction Run loop.
-func (m *Machine) runSteps(maxInsts uint64) (uint64, error) {
-	var n uint64
-	for !m.Halted {
-		if maxInsts > 0 && n >= maxInsts {
-			break
-		}
-		if _, _, err := m.Step(); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+// RunWarm is Run for fast mode: it executes up to budget instructions
+// (none for 0) exactly as Run does, telling w about each instruction's
+// fetch, with I-cache lines of lineBytes (a power of two, 2 or more),
+// its data access and its control transfer, in program order.
+func (m *Machine) RunWarm(budget uint64, w Warmer, lineBytes uint32) (uint64, error) {
+	return m.run(budget, &warming{Warmer: w, mask: lineBytes - 1, line: noLine})
 }
 
 // Output returns everything the program printed.

@@ -29,9 +29,11 @@ const (
 //     every machine loading the same image — and is cloned copy-on-write
 //     by the first store into it, which also sets the codeDirty flag so
 //     instruction fetch stops trusting the predecode plane.
-//   - A 1-entry last-page cache for everything else, exploiting the
-//     locality of stack and data traffic. Pages are never freed, so the
-//     cache can only go stale by being overwritten, never dangle.
+//   - A 2-entry most-recently-used page cache for everything else,
+//     exploiting the locality of stack and data traffic: a program
+//     alternating between its stack page and its globals page hits one of
+//     the two. Pages are never freed, so the cache can only go stale by
+//     being overwritten, never dangle.
 type Memory struct {
 	pages map[uint32]*[pageSize]byte
 
@@ -46,8 +48,14 @@ type Memory struct {
 	// so a region can be invalidated once per installation.
 	codeInvalidations uint64
 
-	lastKey  uint32 // cached page key + 1; 0 = empty
+	// The page cache: the last page touched, then the one before it. A
+	// key is the page number + 1; 0 = empty. The access fast paths test
+	// the first entry; page tests the second before the map and swaps
+	// the two on a hit.
+	lastKey  uint32
 	lastPage *[pageSize]byte
+	prevKey  uint32
+	prevPage *[pageSize]byte
 }
 
 // NewMemory returns an empty memory.
@@ -80,6 +88,9 @@ func (m *Memory) clone() *Memory {
 	}
 	if m.lastKey != 0 {
 		c.lastPage = c.pages[m.lastKey-1]
+	}
+	if m.prevKey != 0 {
+		c.prevPage = c.pages[m.prevKey-1]
 	}
 	return &c
 }
@@ -128,22 +139,30 @@ func (m *Memory) storeCode(off uint32, v byte) {
 // transitions (block/plane invalidation events) observed so far.
 func (m *Memory) CodeInvalidations() uint64 { return m.codeInvalidations }
 
+// page returns the page holding addr, allocating it when alloc is set
+// (nil when absent and not allocated), and makes it the cache's first
+// entry.
 func (m *Memory) page(addr uint32, alloc bool) *[pageSize]byte {
+	key := addr>>pageShift + 1
+	if key == m.prevKey {
+		m.lastKey, m.prevKey = m.prevKey, m.lastKey
+		m.lastPage, m.prevPage = m.prevPage, m.lastPage
+		return m.lastPage
+	}
 	if m.pages == nil {
 		if !alloc {
 			return nil
 		}
 		m.pages = make(map[uint32]*[pageSize]byte)
 	}
-	key := addr >> pageShift
-	p := m.pages[key]
+	p := m.pages[key-1]
 	if p == nil && alloc {
 		p = new([pageSize]byte)
-		m.pages[key] = p
+		m.pages[key-1] = p
 	}
 	if p != nil {
-		m.lastKey = key + 1
-		m.lastPage = p
+		m.prevKey, m.prevPage = m.lastKey, m.lastPage
+		m.lastKey, m.lastPage = key, p
 	}
 	return p
 }
