@@ -325,18 +325,17 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		p := params
-		var timing *sweep.Timing
 		var prog *sweep.Progress
 		var obs *telemetry.SweepObserver
+		var ws []sweep.WorkerStats // the sweep's cell record
 		if observing {
-			timing = sweep.NewTiming()
 			obs = telemetry.NewSweepObserver(reg, events, "exp", id)
-			mons := []sweep.Monitor{timing, obs}
+			p.Monitor = obs
 			if *progress {
 				prog = sweep.NewProgress(os.Stderr, id)
-				mons = append(mons, prog)
+				p.Monitor = sweep.Monitors(obs, prog)
 			}
-			p.Monitor = sweep.Monitors(mons...)
+			p.OnWorkerStats = func(s []sweep.WorkerStats) { ws = s }
 		}
 		if reg != nil {
 			p.SampleEvery = *sampleEvery
@@ -366,10 +365,9 @@ func main() {
 		if prog != nil {
 			prog.Finish()
 		}
-		// The sweep has joined (workers drained) on every path out of Run,
-		// so the observer's per-worker cells are quiescent: fold them into
-		// the registry before anything reads or flushes it.
-		obs.Drain()
+		// The sweep has joined on every path out of Run: publish its cell
+		// record before anything reads or flushes the registry.
+		obs.Publish(ws)
 		if err != nil {
 			if ctx.Err() != nil {
 				// A signal canceled the sweep mid-experiment. Flush what we
@@ -400,15 +398,16 @@ func main() {
 		}
 
 		elapsed := time.Since(start)
-		if timing != nil {
-			man.Experiments = append(man.Experiments, experimentRecord(id, elapsed, timing))
+		if observing {
+			cells := sweep.Cells(ws)
+			man.Experiments = append(man.Experiments, experimentRecord(id, elapsed, cells))
 			events.Emit("experiment_done", map[string]any{
-				"exp": id, "seconds": elapsed.Seconds(), "cells": len(timing.Cells()),
+				"exp": id, "seconds": elapsed.Seconds(), "cells": len(cells),
 				"holes": len(res.Holes),
 			})
-		}
-		if *progress && timing != nil {
-			reportSweep(os.Stderr, id, *parallel, timing)
+			if *progress {
+				reportSweep(os.Stderr, id, elapsed, cells)
+			}
 		}
 		if agg != nil {
 			// The attribution table renders on stderr: stdout stays
@@ -500,11 +499,12 @@ func publishTrace(am *telemetry.AttribMetrics, man *telemetry.Manifest,
 	return st
 }
 
-// experimentRecord converts one experiment's timing into manifest form.
-func experimentRecord(id string, elapsed time.Duration, timing *sweep.Timing) telemetry.ExperimentRecord {
+// experimentRecord converts one experiment's cell records into manifest
+// form.
+func experimentRecord(id string, elapsed time.Duration, cells []sweep.CellTiming) telemetry.ExperimentRecord {
 	title, _ := retstack.ExperimentTitle(id)
 	rec := telemetry.ExperimentRecord{ID: id, Title: title, WallSeconds: elapsed.Seconds()}
-	for _, c := range timing.Cells() {
+	for _, c := range cells {
 		rec.Cells = append(rec.Cells, telemetry.CellRecord{
 			Cell: c.Cell, Worker: c.Worker, Seconds: c.Elapsed.Seconds(), Error: c.Err,
 		})
@@ -514,23 +514,22 @@ func experimentRecord(id string, elapsed time.Duration, timing *sweep.Timing) te
 
 // reportSweep prints the post-sweep utilization/straggler summary that
 // -progress promises: which cells gated the wall clock and how busy the
-// pool stayed.
-func reportSweep(w io.Writer, id string, workers int, timing *sweep.Timing) {
-	cells := timing.Cells()
+// pool stayed. Utilization counts only the workers that ended a cell:
+// the scheduler starts a worker per pending cell up to -parallel, and a
+// sweep of a few lockstep units may leave most of them without work.
+func reportSweep(w io.Writer, id string, wall time.Duration, cells []sweep.CellTiming) {
 	if len(cells) == 0 {
 		return
 	}
-	// Clamp the utilization denominator to workers that actually ran a
-	// cell: a 2-cell sweep under -parallel 8 ran on 2 workers (the sweep
-	// clamps), and dividing by 8 would report idle workers that never
-	// existed.
-	effective := sweep.Workers(workers)
-	if ran := timing.Workers(); ran > 0 && ran < effective {
-		effective = ran
+	var busy time.Duration
+	ran := map[int]bool{}
+	for _, c := range cells {
+		busy += c.Elapsed
+		ran[c.Worker] = true
 	}
 	line := fmt.Sprintf("sweep %s: %d cells, utilization %.0f%%, median cell %.2fs",
-		id, len(cells), 100*timing.Utilization(effective), timing.Median().Seconds())
-	if stragglers := timing.Stragglers(3); len(stragglers) != 0 {
+		id, len(cells), 100*busy.Seconds()/(float64(len(ran))*wall.Seconds()), sweep.Median(cells).Seconds())
+	if stragglers := sweep.Stragglers(cells, 3); len(stragglers) != 0 {
 		s := stragglers[0]
 		line += fmt.Sprintf("; straggler cell %d (%.2fs on worker %d)",
 			s.Cell, s.Elapsed.Seconds(), s.Worker)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -177,6 +178,102 @@ func TestKillAndResume(t *testing.T) {
 	}
 	if m.Store.Hits < 1 {
 		t.Errorf("resumed run hit %d stored cells, want >= 1", m.Store.Hits)
+	}
+}
+
+// TestArtifactsReconcile: with every telemetry flag on, stdout is a plain
+// run's, and the run's artifacts reconcile with one another. The
+// manifest, the completed counter, the cell-seconds histogram and the
+// cell_done events count the same cells; the manifest's cell seconds sum
+// to the histogram's sum; the worker-busy series sum to the same total
+// within 1 ms per worker (each worker's busy time is converted to whole
+// milliseconds once); and -progress prints its post-sweep summary.
+func TestArtifactsReconcile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	args := []string{"-exp", "t3", "-insts", "20000", "-bench", "go,li"}
+	plain, err := rasbench(t, args...).Output()
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	dir := t.TempDir()
+	prom, events, manifest := filepath.Join(dir, "m.prom"), filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "manifest.json")
+	cmd := rasbench(t, append(args, "-metrics-out", prom, "-events-out", events, "-manifest-out", manifest, "-progress")...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("telemetry run: %v (stderr: %s)", err, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), plain) {
+		t.Errorf("stdout with telemetry differs from a plain run\n--- plain ---\n%s--- telemetry ---\n%s", plain, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "sweep t3: 8 cells, utilization") {
+		t.Errorf("stderr carries no post-sweep summary:\n%s", stderr.String())
+	}
+
+	var m telemetry.Manifest
+	b, err := os.ReadFile(manifest)
+	if err == nil {
+		err = json.Unmarshal(b, &m)
+	}
+	if err != nil || len(m.Experiments) != 1 {
+		t.Fatalf("manifest: %v, %d experiments", err, len(m.Experiments))
+	}
+	var manSeconds float64
+	for _, c := range m.Experiments[0].Cells {
+		manSeconds += c.Seconds
+	}
+
+	f, err := os.Open(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	series, err := telemetry.Samples(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var busyMs float64
+	workers := 0
+	for k, v := range series {
+		if strings.HasPrefix(k, telemetry.MetricSweepWorkerMs+"{") {
+			busyMs += v
+			workers++
+		}
+	}
+
+	b, err = os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellDone := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var ev struct{ Event string }
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event %q: %v", line, err)
+		}
+		if ev.Event == "cell_done" {
+			cellDone++
+		}
+	}
+
+	for what, n := range map[string]float64{
+		"manifest cells":     float64(len(m.Experiments[0].Cells)),
+		"completed counter":  series[telemetry.MetricSweepCompleted+`{exp="t3"}`],
+		"cell-seconds count": series[telemetry.MetricSweepCellSeconds+`_count{exp="t3"}`],
+		"cell_done events":   float64(cellDone),
+	} {
+		if n != 8 {
+			t.Errorf("%s: %v, want 8", what, n)
+		}
+	}
+	sum := series[telemetry.MetricSweepCellSeconds+`_sum{exp="t3"}`]
+	if sum <= 0 || math.Abs(manSeconds-sum) > 1e-9*sum {
+		t.Errorf("manifest cell seconds sum to %v, the histogram to %v", manSeconds, sum)
+	}
+	if workers == 0 || math.Abs(busyMs-1000*sum) > float64(workers) {
+		t.Errorf("%d worker-busy series sum to %v ms, the cells to %.3f ms", workers, busyMs, 1000*sum)
 	}
 }
 

@@ -51,10 +51,12 @@ type Params struct {
 	// TestTelemetryDoesNotPerturb).
 	Monitor sweep.Monitor
 	// OnWorkerStats, if non-nil, receives the cell scheduler's per-worker
-	// accounting (cells started/finished, busy and queue-wait wall clock)
-	// after each sweep completes. An experiment that sweeps more than once
-	// fires it once per sweep; accumulate by Worker index. Strictly
-	// observational, like Monitor.
+	// accounting (cells started/finished, busy and queue-wait wall clock,
+	// and a record of each cell) once the worker pool has finished. Every
+	// experiment sweeps at most once, so it fires at most once per Run:
+	// once for a sweep (with no workers when the store served every cell),
+	// never for t1, which simulates nothing, or for a sweep that failed
+	// before any cell started. Strictly observational, like Monitor.
 	OnWorkerStats func([]sweep.WorkerStats)
 	// Sample, if non-nil, attaches a cycle sampler to every simulation:
 	// every SampleEvery cycles (0 = pipeline.DefaultSampleEvery) it

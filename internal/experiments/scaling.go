@@ -208,25 +208,8 @@ func MeasureScaling(p Params, target string, levels []int) (*ScalingReport, erro
 		// Strip anything that would splice cells in without executing
 		// them — a measured sweep must simulate every cell.
 		q.Store, q.StoreScope = nil, ""
-		timing := sweep.NewTiming()
-		q.Monitor = sweep.Monitors(p.Monitor, timing)
-		// An experiment may sweep more than once; merge worker stats by
-		// worker index across sweeps.
-		acc := map[int]*sweep.WorkerStats{}
-		q.OnWorkerStats = func(ws []sweep.WorkerStats) {
-			for _, w := range ws {
-				a := acc[w.Worker]
-				if a == nil {
-					a = &sweep.WorkerStats{Worker: w.Worker}
-					acc[w.Worker] = a
-				}
-				a.Started += w.Started
-				a.Finished += w.Finished
-				a.Errs += w.Errs
-				a.Busy += w.Busy
-				a.Wait += w.Wait
-			}
-		}
+		var ws []sweep.WorkerStats
+		q.OnWorkerStats = func(s []sweep.WorkerStats) { ws = s }
 		start := time.Now()
 		res, err := Run(target, q)
 		wall := time.Since(start)
@@ -234,48 +217,38 @@ func MeasureScaling(p Params, target string, levels []int) (*ScalingReport, erro
 			return nil, fmt.Errorf("experiments: scaling level %d: %w", lv, err)
 		}
 
-		cells := len(timing.Cells())
+		cells := sweep.Cells(ws)
 		level := ScalingLevel{
 			Parallel:    lv,
-			Workers:     len(acc),
-			Cells:       cells,
+			Workers:     len(ws),
+			Cells:       len(cells),
 			WallMS:      float64(wall.Nanoseconds()) / 1e6,
+			P50MS:       float64(sweep.Quantile(cells, 0.50).Nanoseconds()) / 1e6,
+			P95MS:       float64(sweep.Quantile(cells, 0.95).Nanoseconds()) / 1e6,
+			P99MS:       float64(sweep.Quantile(cells, 0.99).Nanoseconds()) / 1e6,
 			Fingerprint: fingerprintResult(res),
 		}
-		if s := wall.Seconds(); s > 0 {
-			level.CellsPerSec = float64(cells) / s
+		if med := sweep.Median(cells); med > 0 {
+			level.StragglerRatio = float64(sweep.Quantile(cells, 1)) / float64(med)
 		}
-		workers := level.Workers
-		if workers == 0 {
-			workers = timing.Workers()
-			level.Workers = workers
-		}
-		level.Utilization = timing.Utilization(workers)
-		level.P50MS = float64(timing.Quantile(0.50).Nanoseconds()) / 1e6
-		level.P95MS = float64(timing.Quantile(0.95).Nanoseconds()) / 1e6
-		level.P99MS = float64(timing.Quantile(0.99).Nanoseconds()) / 1e6
-		if med := timing.Median(); med > 0 {
-			slowest := timing.Quantile(1)
-			level.StragglerRatio = float64(slowest) / float64(med)
-		}
-		order := make([]int, 0, len(acc))
-		for w := range acc {
-			order = append(order, w)
-		}
-		sort.Ints(order)
-		for _, w := range order {
-			a := acc[w]
+		var busy time.Duration
+		for _, w := range ws {
+			busy += w.Busy
 			sw := ScalingWorker{
-				Worker: a.Worker,
-				Cells:  a.Finished,
-				Errs:   a.Errs,
-				BusyMS: float64(a.Busy.Nanoseconds()) / 1e6,
-				WaitMS: float64(a.Wait.Nanoseconds()) / 1e6,
+				Worker: w.Worker,
+				Cells:  w.Finished,
+				Errs:   w.Errs,
+				BusyMS: float64(w.Busy.Nanoseconds()) / 1e6,
+				WaitMS: float64(w.Wait.Nanoseconds()) / 1e6,
 			}
 			if wall > 0 {
-				sw.BusyShare = float64(a.Busy) / float64(wall)
+				sw.BusyShare = float64(w.Busy) / float64(wall)
 			}
 			level.WorkerDetail = append(level.WorkerDetail, sw)
+		}
+		if wall > 0 && len(ws) > 0 {
+			level.CellsPerSec = float64(len(cells)) / wall.Seconds()
+			level.Utilization = busy.Seconds() / (float64(len(ws)) * wall.Seconds())
 		}
 		rep.Levels = append(rep.Levels, level)
 	}

@@ -250,8 +250,9 @@ func TestWatchdogBoundsStoreWait(t *testing.T) {
 	defer func() { close(release); <-done }()
 
 	p := storeParams(st, "s")
+	p.InstBudget = 2_000 // cells of a few ms, far inside the limit even under -race on a loaded host
 	p.OnCellError = sweep.Skip
-	p.CellTimeout = 300 * time.Millisecond
+	p.CellTimeout = time.Second
 	res, err := Run("t3", p)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTelemetryDoesNotPerturb is the determinism contract for the
-// observability layer: running an experiment with a sweep monitor and a
-// cycle sampler attached must render byte-identical tables and equal
+// observability layer: running an experiment with the worker-stats hook
+// and a cycle sampler attached must render byte-identical tables and equal
 // structured values versus a plain run, at any worker count. a7 covers
 // SMT cells.
 func TestTelemetryDoesNotPerturb(t *testing.T) {
@@ -30,9 +30,9 @@ func checkTelemetryInert(t *testing.T, exp string) {
 	for _, workers := range []int{1, 4} {
 		p := base
 		p.Parallel = workers
-		timing := sweep.NewTiming()
-		p.Monitor = sweep.Monitors(timing)
-		var samples, cells atomic.Int64
+		var ws []sweep.WorkerStats
+		p.OnWorkerStats = func(s []sweep.WorkerStats) { ws = s }
+		var samples atomic.Int64
 		p.Sample = func(cell int, sm pipeline.Sample) {
 			samples.Add(1)
 			if sm.RUUOccupancy < 0 || sm.RASDepth < 0 {
@@ -54,14 +54,53 @@ func checkTelemetryInert(t *testing.T, exp string) {
 		if samples.Load() == 0 {
 			t.Error("cycle sampler never fired")
 		}
-		cells.Store(int64(len(timing.Cells())))
-		if cells.Load() == 0 {
-			t.Error("sweep monitor saw no cells")
+		cells := sweep.Cells(ws)
+		if len(cells) == 0 {
+			t.Error("the sweep recorded no cells")
 		}
-		for _, c := range timing.Cells() {
+		for _, c := range cells {
 			if c.Elapsed <= 0 {
 				t.Errorf("cell %d: non-positive elapsed time", c.Cell)
 			}
+		}
+	}
+}
+
+// TestOnWorkerStatsOncePerRun pins the hook's contract: every experiment
+// sweeps at most once, so OnWorkerStats fires once per Run for every id
+// but t1, which simulates nothing and never fires it, and the records it
+// hands over are the cells the monitor saw end. A rerun the store serves
+// entirely still fires it once, with no workers.
+func TestOnWorkerStatsOncePerRun(t *testing.T) {
+	run := func(id string, p Params) (calls int, ws []sweep.WorkerStats) {
+		t.Helper()
+		counts := newCellCounts()
+		p.Monitor = counts
+		p.OnWorkerStats = func(s []sweep.WorkerStats) { calls, ws = calls+1, s }
+		if _, err := Run(id, p); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := len(sweep.Cells(ws)); got != len(counts.dones) {
+			t.Errorf("%s: %d cell records, the monitor saw %d cells end", id, got, len(counts.dones))
+		}
+		return calls, ws
+	}
+	p := Params{InstBudget: 2_000, Workloads: []string{"go", "li"}, Parallel: 2}
+	for _, id := range IDs() {
+		want := 1
+		if id == "t1" {
+			want = 0
+		}
+		if calls, _ := run(id, p); calls != want {
+			t.Errorf("%s: OnWorkerStats fired %d times, want %d", id, calls, want)
+		}
+	}
+
+	p.Store, p.StoreScope = openStore(t, t.TempDir()), "s"
+	for _, pass := range []string{"cold", "warm"} {
+		calls, ws := run("t3", p)
+		if calls != 1 || (pass == "warm") != (len(ws) == 0) {
+			t.Errorf("%s store run: OnWorkerStats fired %d times with %d workers, want once, with workers only when cold", pass, calls, len(ws))
 		}
 	}
 }

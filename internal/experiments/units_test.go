@@ -238,11 +238,10 @@ func TestUnitFailureFailsEveryCell(t *testing.T) {
 // counts sum to the sweep's cells.
 func TestGroupedCellAccounting(t *testing.T) {
 	for _, solo := range []bool{false, true} {
-		timing := sweep.NewTiming()
 		counts := newCellCounts()
 		var workers []sweep.WorkerStats
 		p := Params{InstBudget: 20_000, Workloads: []string{"go", "li"}, Parallel: 2,
-			Monitor: sweep.Monitors(timing, counts),
+			Monitor: counts,
 			OnWorkerStats: func(ws []sweep.WorkerStats) {
 				workers = append(workers, ws...)
 			}}
@@ -268,12 +267,19 @@ func TestGroupedCellAccounting(t *testing.T) {
 			started += w.Started
 			finished += w.Finished
 		}
-		cells := len(counts.starts)
-		if cells == 0 || started != cells || finished != cells {
-			t.Errorf("solo=%v: workers started %d and finished %d cells, the monitor saw %d", solo, started, finished, cells)
+		if n := len(counts.starts); n == 0 || started != n || finished != n {
+			t.Errorf("solo=%v: workers started %d and finished %d cells, the monitor saw %d", solo, started, finished, n)
 		}
 		counts.exactlyOnce(t)
-		if got, want := timing.BusySeconds(), busy.Seconds(); got < 0.99*want || got > 1.01*want {
+		cells := sweep.Cells(workers)
+		var elapsed time.Duration
+		for _, c := range cells {
+			elapsed += c.Elapsed
+		}
+		if len(cells) != len(counts.starts) {
+			t.Errorf("solo=%v: %d cell records, the monitor saw %d cells", solo, len(cells), len(counts.starts))
+		}
+		if got, want := elapsed.Seconds(), busy.Seconds(); got < 0.99*want || got > 1.01*want {
 			t.Errorf("solo=%v: cell durations sum to %.4fs, the workers were busy %.4fs", solo, got, want)
 		}
 		if u := busy.Seconds() / (2 * wall.Seconds()); u > 1 {

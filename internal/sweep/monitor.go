@@ -1,11 +1,11 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -20,11 +20,13 @@ type Monitor interface {
 }
 
 // WorkerStats is one worker's accounting for a sweep: how many cells it
-// started and finished, how long it spent running cells (Busy), and how
-// long it spent between them, taking or waiting for work (Wait).
-// Busy/Wait cover the span from the worker's start to its last cell's
-// completion; utilization over w workers is sum(Busy) / (w × sweep wall
-// clock).
+// started and finished, how long it spent running cells (Busy), how long
+// it spent between them, taking or waiting for work (Wait), and a record
+// of each cell it ended (Cells). Busy/Wait cover the span from the
+// worker's start to its last cell's completion; utilization over w
+// workers is sum(Busy) / (w × sweep wall clock). A sweep's WorkerStats
+// are its one cell record, read through Cells, Quantile, Median and
+// Stragglers.
 type WorkerStats struct {
 	Worker   int
 	Started  int           // cells begun
@@ -32,6 +34,16 @@ type WorkerStats struct {
 	Errs     int           // cells whose final outcome was an error
 	Busy     time.Duration // wall clock running cells
 	Wait     time.Duration // wall clock between cells
+	Cells    []CellTiming  // the cells ended, in the order the worker ended them
+}
+
+// CellTiming is one ended cell's record: the worker that ended it, its
+// duration (its CellDone's), and whether it failed.
+type CellTiming struct {
+	Cell    int
+	Worker  int
+	Elapsed time.Duration
+	Err     bool
 }
 
 // Worker is one sweep worker's side of the Monitor contract and its
@@ -59,7 +71,8 @@ func (w *Worker) Start(cell int) {
 	w.Stats.Started++
 }
 
-// Done ends cell, which ran for d, with its final error: its CellDone.
+// Done ends cell, which ran for d, with its final error: its CellDone and
+// its record.
 func (w *Worker) Done(cell int, d time.Duration, err error) {
 	if w.monitor != nil {
 		w.monitor.CellDone(cell, w.Stats.Worker, d, err)
@@ -68,6 +81,7 @@ func (w *Worker) Done(cell int, d time.Duration, err error) {
 	if err != nil {
 		w.Stats.Errs++
 	}
+	w.Stats.Cells = append(w.Stats.Cells, CellTiming{Cell: cell, Worker: w.Stats.Worker, Elapsed: d, Err: err != nil})
 }
 
 // Busy ends the worker's current interval as time spent running cells and
@@ -117,212 +131,62 @@ func (mm multiMonitor) CellDone(cell, worker int, d time.Duration, err error) {
 	}
 }
 
-// CellTiming is one finished cell's accounting.
-type CellTiming struct {
-	Cell    int
-	Worker  int
-	Start   time.Duration // offset of the cell's start from NewTiming
-	Elapsed time.Duration
-	Err     bool
-}
-
-// Timing collects per-cell wall-clock accounting for a sweep: cell
-// durations, per-worker busy time, and straggler identification. One
-// Timing may span several sweeps (an experiment that sweeps more than
-// once); records accumulate.
-//
-// Records land in per-worker shards: each worker appends to its own shard
-// under its own (uncontended) mutex, so concurrent CellDone callbacks from
-// different workers never serialize on a shared lock — the collector
-// itself must not become the cross-worker contention it exists to measure.
-// The shard index is the worker id the sweep hands every callback.
-type Timing struct {
-	epoch time.Time
-
-	shards atomic.Pointer[[]*timingShard]
-	grow   sync.Mutex // serializes shard-slice growth only
-}
-
-// timingShard is one worker's record list. The mutex is taken by exactly
-// two parties: the owning worker (serial with itself) and a reader folding
-// results after — or, for Progress-style live reads, during — the sweep.
-type timingShard struct {
-	mu    sync.Mutex
-	cells []CellTiming
-	busy  time.Duration
-	_     [40]byte // keep adjacent shards' hot fields off one cache line
-}
-
-// NewTiming starts a collector; offsets are measured from this call.
-func NewTiming() *Timing {
-	return &Timing{epoch: time.Now()}
-}
-
-// shard returns worker w's shard, growing the shard table on first sight
-// of a new worker id (rare: once per worker per sweep).
-func (t *Timing) shard(w int) *timingShard {
-	if w < 0 {
-		w = 0
-	}
-	if sp := t.shards.Load(); sp != nil && w < len(*sp) {
-		return (*sp)[w]
-	}
-	t.grow.Lock()
-	defer t.grow.Unlock()
-	var cur []*timingShard
-	if sp := t.shards.Load(); sp != nil {
-		cur = *sp
-	}
-	if w < len(cur) { // another grower won the race
-		return cur[w]
-	}
-	next := make([]*timingShard, w+1)
-	copy(next, cur)
-	for i := len(cur); i <= w; i++ {
-		next[i] = &timingShard{}
-	}
-	t.shards.Store(&next)
-	return next[w]
-}
-
-// fold runs fn over every shard, locking each in turn.
-func (t *Timing) fold(fn func(s *timingShard)) {
-	sp := t.shards.Load()
-	if sp == nil {
-		return
-	}
-	for _, s := range *sp {
-		s.mu.Lock()
-		fn(s)
-		s.mu.Unlock()
-	}
-}
-
-// CellStart implements Monitor.
-func (t *Timing) CellStart(cell, worker int) {}
-
-// CellDone implements Monitor.
-func (t *Timing) CellDone(cell, worker int, d time.Duration, err error) {
-	start := time.Since(t.epoch) - d
-	if start < 0 {
-		start = 0
-	}
-	s := t.shard(worker)
-	s.mu.Lock()
-	s.cells = append(s.cells, CellTiming{
-		Cell: cell, Worker: worker, Start: start, Elapsed: d, Err: err != nil,
-	})
-	s.busy += d
-	s.mu.Unlock()
-}
-
-// Cells returns a copy of the records, ordered by cell index then start.
-func (t *Timing) Cells() []CellTiming {
+// Cells returns every worker's cell records in cell order.
+func Cells(ws []WorkerStats) []CellTiming {
 	var out []CellTiming
-	t.fold(func(s *timingShard) { out = append(out, s.cells...) })
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cell != out[j].Cell {
-			return out[i].Cell < out[j].Cell
-		}
-		return out[i].Start < out[j].Start
-	})
+	for _, w := range ws {
+		out = append(out, w.Cells...)
+	}
+	slices.SortStableFunc(out, func(a, b CellTiming) int { return cmp.Compare(a.Cell, b.Cell) })
 	return out
 }
 
-// Wall returns the wall clock elapsed since the collector started.
-func (t *Timing) Wall() time.Duration { return time.Since(t.epoch) }
-
-// BusySeconds returns total busy time summed over all workers.
-func (t *Timing) BusySeconds() float64 {
-	var total time.Duration
-	t.fold(func(s *timingShard) { total += s.busy })
-	return total.Seconds()
-}
-
-// Workers returns how many distinct workers have recorded a cell — the
-// honest denominator for utilization when the requested worker count
-// exceeded the cell count (the sweep clamps, so extra workers never
-// exist, and an idle-worker division would understate utilization).
-func (t *Timing) Workers() int {
-	n := 0
-	t.fold(func(s *timingShard) {
-		if len(s.cells) > 0 {
-			n++
-		}
-	})
-	return n
-}
-
-// Utilization returns aggregate worker utilization: busy time divided by
-// (workers × wall clock). 1.0 means no worker ever idled. Callers that
-// sized workers from the request rather than the sweep should clamp by
-// Workers() — a sweep of 2 cells under -parallel 8 ran on 2 workers, not
-// 8. Non-positive worker counts and a zero-elapsed wall return 0 rather
-// than dividing by it.
-func (t *Timing) Utilization(workers int) float64 {
-	wall := t.Wall().Seconds()
-	if workers < 1 || wall <= 0 {
-		return 0
+// durations returns the cells' durations, sorted ascending.
+func durations(cells []CellTiming) []time.Duration {
+	ds := make([]time.Duration, len(cells))
+	for i, c := range cells {
+		ds[i] = c.Elapsed
 	}
-	return t.BusySeconds() / (float64(workers) * wall)
-}
-
-// durations collects every cell duration, sorted ascending.
-func (t *Timing) durations() []time.Duration {
-	var ds []time.Duration
-	t.fold(func(s *timingShard) {
-		for _, c := range s.cells {
-			ds = append(ds, c.Elapsed)
-		}
-	})
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	slices.Sort(ds)
 	return ds
 }
 
-// Median returns the median cell duration (0 with no records).
-func (t *Timing) Median() time.Duration {
-	ds := t.durations()
+// Quantile returns the q-th quantile of the cells' durations (q clamped
+// to [0,1], nearest rank; 0 with no cells). The scalability harness reads
+// its p50/p95/p99 per-cell latency here.
+func Quantile(cells []CellTiming, q float64) time.Duration {
+	ds := durations(cells)
+	if len(ds) == 0 {
+		return 0
+	}
+	return ds[int(max(0, min(q, 1))*float64(len(ds)-1))]
+}
+
+// Median returns the median cell duration, the upper middle one of an
+// even count (0 with no cells).
+func Median(cells []CellTiming) time.Duration {
+	ds := durations(cells)
 	if len(ds) == 0 {
 		return 0
 	}
 	return ds[len(ds)/2]
 }
 
-// Quantile returns the q-th quantile cell duration (q in [0,1], nearest-
-// rank; 0 with no records). The scalability harness reads p50/p95/p99
-// per-cell latency from here.
-func (t *Timing) Quantile(q float64) time.Duration {
-	ds := t.durations()
-	if len(ds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(q * float64(len(ds)-1))
-	return ds[i]
-}
-
 // Stragglers returns the cells whose duration exceeded factor × the
-// median, slowest first — the cells that gate a sweep's wall clock.
-func (t *Timing) Stragglers(factor float64) []CellTiming {
-	med := t.Median()
+// median, slowest first: the cells that gate a sweep's wall clock.
+func Stragglers(cells []CellTiming, factor float64) []CellTiming {
+	med := Median(cells)
 	if med <= 0 {
 		return nil
 	}
 	cut := time.Duration(float64(med) * factor)
 	var out []CellTiming
-	t.fold(func(s *timingShard) {
-		for _, c := range s.cells {
-			if c.Elapsed > cut {
-				out = append(out, c)
-			}
+	for _, c := range cells {
+		if c.Elapsed > cut {
+			out = append(out, c)
 		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Elapsed > out[j].Elapsed })
+	}
+	slices.SortStableFunc(out, func(a, b CellTiming) int { return cmp.Compare(b.Elapsed, a.Elapsed) })
 	return out
 }
 

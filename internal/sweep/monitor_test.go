@@ -138,22 +138,39 @@ func (m monitorFuncs) CellDone(cell, worker int, d time.Duration, err error) {
 }
 
 // TestTimingAccounting runs a sweep with one deliberately slow cell and
-// checks record counts, busy-time accounting, and straggler detection.
+// one failing cell and checks the workers' cell records: one per cell,
+// in cell order through Cells, owned by the worker that ended it, summing
+// to the workers' busy time, with the failure flagged and the slow cell
+// named the straggler.
 func TestTimingAccounting(t *testing.T) {
-	timing := NewTiming()
 	const n = 16
-	err := run(4, n, timing, func(i int) error {
+	ws, err := runStats(4, n, nil, func(i int) error {
 		d := time.Millisecond
 		if i == 7 {
 			d = 60 * time.Millisecond
 		}
 		time.Sleep(d)
+		if i == n-1 { // claimed last, so every cell still runs
+			return errors.New("tail error")
+		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("expected the tail error")
 	}
-	cells := timing.Cells()
+	var busy, elapsed time.Duration
+	for _, w := range ws {
+		busy += w.Busy
+		if len(w.Cells) != w.Finished {
+			t.Errorf("worker %d: %d records, %d cells finished", w.Worker, len(w.Cells), w.Finished)
+		}
+		for _, c := range w.Cells {
+			if c.Worker != w.Worker {
+				t.Errorf("cell %d: recorded by worker %d, names worker %d", c.Cell, w.Worker, c.Worker)
+			}
+		}
+	}
+	cells := Cells(ws)
 	if len(cells) != n {
 		t.Fatalf("%d cell records, want %d", len(cells), n)
 	}
@@ -161,103 +178,30 @@ func TestTimingAccounting(t *testing.T) {
 		if c.Cell != i {
 			t.Fatalf("record %d is cell %d (sorted order broken)", i, c.Cell)
 		}
-		if c.Err {
-			t.Errorf("cell %d flagged as error", i)
+		if c.Err != (i == n-1) {
+			t.Errorf("cell %d: Err = %v", i, c.Err)
 		}
+		elapsed += c.Elapsed
 	}
-	if med := timing.Median(); med <= 0 || med > 50*time.Millisecond {
+	if elapsed != busy || busy < 60*time.Millisecond {
+		t.Errorf("cells sum to %v, workers were busy %v; want equal, at least the slow cell's 60ms", elapsed, busy)
+	}
+	if med := Median(cells); med <= 0 || med > 50*time.Millisecond {
 		t.Errorf("median = %v, implausible", med)
 	}
-	stragglers := timing.Stragglers(5)
+	stragglers := Stragglers(cells, 5)
 	if len(stragglers) == 0 || stragglers[0].Cell != 7 {
 		t.Errorf("straggler detection missed cell 7: %+v", stragglers)
-	}
-	if busy := timing.BusySeconds(); busy < 0.06 {
-		t.Errorf("busy seconds = %v, want at least the slow cell's 60ms", busy)
-	}
-	if u := timing.Utilization(4); u <= 0 || u > 1.01 {
-		t.Errorf("utilization = %v, outside (0,1]", u)
-	}
-}
-
-// TestTimingIdleWorkers: utilization arithmetic when the requested worker
-// count exceeds the cell count. The honest denominator is Workers() — the
-// workers that actually ran a cell — and the guards must return 0 rather
-// than divide by idle workers, an empty record set, or a zero wall clock.
-func TestTimingIdleWorkers(t *testing.T) {
-	timing := NewTiming()
-
-	// Empty collector: every derived statistic is 0, never NaN or panic.
-	if u := timing.Utilization(4); u != 0 {
-		t.Errorf("empty Utilization(4) = %v, want 0", u)
-	}
-	if w := timing.Workers(); w != 0 {
-		t.Errorf("empty Workers() = %d, want 0", w)
-	}
-	if q := timing.Quantile(0.99); q != 0 {
-		t.Errorf("empty Quantile = %v, want 0", q)
-	}
-	if m := timing.Median(); m != 0 {
-		t.Errorf("empty Median = %v, want 0", m)
-	}
-
-	// Two cells land on workers 0 and 5 of a hypothetical 8-worker pool.
-	timing.CellDone(0, 0, 10*time.Millisecond, nil)
-	timing.CellDone(1, 5, 10*time.Millisecond, nil)
-	if w := timing.Workers(); w != 2 {
-		t.Errorf("Workers() = %d, want 2 (only shards with records count)", w)
-	}
-
-	// Non-positive denominators are guarded, not divided by.
-	if u := timing.Utilization(0); u != 0 {
-		t.Errorf("Utilization(0) = %v, want 0", u)
-	}
-	if u := timing.Utilization(-3); u != 0 {
-		t.Errorf("Utilization(-3) = %v, want 0", u)
-	}
-
-	// Dividing by the requested pool (8) must read lower than dividing by
-	// the workers that ran (2): that gap is exactly why callers clamp.
-	honest, padded := timing.Utilization(timing.Workers()), timing.Utilization(8)
-	if honest <= 0 || padded <= 0 || padded >= honest {
-		t.Errorf("utilization honest=%v padded=%v, want 0 < padded < honest", honest, padded)
-	}
-
-	// A negative worker id (no sweep produces one, but the API tolerates
-	// it) clamps to shard 0 instead of indexing out of bounds.
-	timing.CellDone(2, -1, time.Millisecond, nil)
-	if got := len(timing.Cells()); got != 3 {
-		t.Errorf("records after negative-worker CellDone = %d, want 3", got)
-	}
-}
-
-// TestTimingIdleWorkersEngine drives a real sweep with more workers than
-// cells: Map clamps the pool, so utilization against Workers() must stay
-// in (0, 1].
-func TestTimingIdleWorkersEngine(t *testing.T) {
-	timing := NewTiming()
-	err := run(8, 2, timing, func(i int) error {
-		time.Sleep(5 * time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := timing.Workers()
-	if ran < 1 || ran > 2 {
-		t.Fatalf("Workers() = %d, want 1..2 for a 2-cell sweep", ran)
-	}
-	if u := timing.Utilization(ran); u <= 0 || u > 1.01 {
-		t.Errorf("Utilization(%d) = %v, outside (0,1]", ran, u)
 	}
 }
 
 // TestTimingQuantile pins the nearest-rank arithmetic on a deterministic
-// set of durations, including the out-of-range clamps.
+// set of durations, in any record order, including the out-of-range
+// clamps and the empty record.
 func TestTimingQuantile(t *testing.T) {
-	timing := NewTiming()
-	for i := 1; i <= 100; i++ {
-		timing.CellDone(i-1, 0, time.Duration(i)*time.Millisecond, nil)
+	var cells []CellTiming
+	for i := 100; i >= 1; i-- {
+		cells = append(cells, CellTiming{Cell: i - 1, Elapsed: time.Duration(i) * time.Millisecond})
 	}
 	for _, tc := range []struct {
 		q    float64
@@ -271,9 +215,19 @@ func TestTimingQuantile(t *testing.T) {
 		{1.5, 100 * time.Millisecond}, // clamped to 1
 		{-0.5, 1 * time.Millisecond},  // clamped to 0
 	} {
-		if got := timing.Quantile(tc.q); got != tc.want {
+		if got := Quantile(cells, tc.q); got != tc.want {
 			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
+	}
+	if got := Median(cells); got != 51*time.Millisecond {
+		t.Errorf("Median = %v, want the upper middle 51ms", got)
+	}
+	// The cut is 1.92 × 51ms = 97.92ms.
+	if got := Stragglers(cells, 1.92); len(got) != 3 || got[0].Elapsed != 100*time.Millisecond || got[2].Elapsed != 98*time.Millisecond {
+		t.Errorf("Stragglers(1.92) = %+v, want the 100, 99 and 98ms cells, slowest first", got)
+	}
+	if Quantile(nil, 0.99) != 0 || Median(nil) != 0 || Stragglers(nil, 3) != nil || Cells(nil) != nil {
+		t.Error("an empty record must read 0, never panic")
 	}
 }
 

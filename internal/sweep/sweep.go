@@ -6,8 +6,8 @@
 // and Watch turn a cell's panic or hang into a typed failure (*PanicError,
 // *TimeoutError), which the sweep reports as the cell's *CellError;
 // Failures routes failures under the OnError policy; and a Worker fires
-// the Monitor callbacks (consumed by collectors such as Timing and
-// Progress) of the cells it runs and keeps its WorkerStats. Map is the
+// the Monitor callbacks (live views such as Progress) of the cells it
+// runs and keeps its WorkerStats, the sweep's cell record. Map is the
 // plain parallel map the scheduler's pre-phases (image builds, warm
 // states) fan out on.
 //

@@ -32,8 +32,8 @@ func run(workers, n int, m Monitor, fn func(i int) error) error {
 
 // runStats runs each cell on its Map worker's Worker, as the experiments'
 // cell scheduler runs one (Idle, Start, the body, Busy, Done), so a
-// non-nil m sees its CellStart and CellDone and the collectors can be
-// tested on a real parallel sweep. It returns each worker's stats, one per
+// non-nil m sees its CellStart and CellDone and the workers' records can
+// be tested on a real parallel sweep. It returns each worker's stats, one per
 // Workers(workers). A panicking body gets no CellDone here: Map recovers
 // it, and the scheduler's own recovery is Protect's.
 func runStats(workers, n int, m Monitor, fn func(i int) error) ([]WorkerStats, error) {
@@ -224,6 +224,9 @@ func TestMapWorkersStats(t *testing.T) {
 			}
 			if s.Finished > 0 && s.Busy <= 0 {
 				t.Errorf("worker %d finished %d cells with zero busy time", i, s.Finished)
+			}
+			if len(s.Cells) != s.Finished {
+				t.Errorf("worker %d finished %d cells but recorded %d", i, s.Finished, len(s.Cells))
 			}
 			started += s.Started
 			finished += s.Finished

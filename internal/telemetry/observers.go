@@ -2,9 +2,9 @@ package telemetry
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"retstack/internal/sweep"
 )
 
 // Metric names exposed by the observers below. Declared as constants so
@@ -66,36 +66,14 @@ const (
 // sweepCellBounds are the per-cell wall-clock histogram buckets.
 var sweepCellBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}
 
-// sweepCellBuckets is len(sweepCellBounds)+1 (the +Inf bucket), spelled as
-// a constant so each worker's accumulator can inline its bucket array.
-const sweepCellBuckets = 14
-
-// sweepWorkerCell is one worker's private accumulator. Only the owning
-// worker writes it during a sweep; Drain reads after the sweep joins. The
-// pad keeps adjacent workers' counters on separate cache lines so the
-// observer never induces the false sharing it exists to measure.
-type sweepWorkerCell struct {
-	completed uint64
-	errors    uint64
-	busyMs    uint64
-	secSum    float64
-	buckets   [sweepCellBuckets]uint64
-	_         [16]byte
-}
-
-// SweepObserver feeds sweep-cell lifecycle callbacks into a registry and
-// an event log. It satisfies internal/sweep.Monitor structurally, keeping
-// this package dependency-free. Either sink may be nil; a fully nil
+// SweepObserver feeds a sweep into a registry and an event log. Live, as
+// a sweep.Monitor, it moves the inflight gauge (a point-in-time quantity
+// that must stay a live shared atomic or it would lie) and emits a
+// cell_done event per cell. Once the sweep has joined, Publish folds the
+// scheduler's per-worker records into the completed, errors, seconds and
+// worker-busy families, which are registered eagerly so the schema is
+// present at zero regardless. Either sink may be nil; a fully nil
 // observer is still safe to call.
-//
-// Per-cell accounting lands in per-worker cells the owning worker alone
-// writes — no shared counter increments and no registry-lock lookups on
-// the cell hot path. The inflight gauge stays a live shared atomic (it is
-// a point-in-time quantity; deferring it would make it lie).
-// Call Drain after the sweep completes to fold the cells into the
-// registry; until then the completed/errors/seconds/worker-busy families
-// read as zero (they are registered eagerly so the schema is present
-// regardless).
 type SweepObserver struct {
 	reg    *Registry
 	log    *EventLog
@@ -105,9 +83,6 @@ type SweepObserver struct {
 	completed *Counter
 	errors    *Counter
 	seconds   *Histogram
-
-	cells atomic.Pointer[[]*sweepWorkerCell]
-	grow  sync.Mutex // serializes cell-table growth only
 }
 
 // NewSweepObserver builds an observer publishing under the given constant
@@ -128,34 +103,6 @@ func NewSweepObserver(reg *Registry, log *EventLog, labels ...string) *SweepObse
 	}
 }
 
-// cell returns worker w's accumulator, growing the table on first sight of
-// a new worker id (once per worker per observer; the warm path is a
-// lock-free load plus an index).
-func (o *SweepObserver) cell(w int) *sweepWorkerCell {
-	if w < 0 {
-		w = 0
-	}
-	if cp := o.cells.Load(); cp != nil && w < len(*cp) {
-		return (*cp)[w]
-	}
-	o.grow.Lock()
-	defer o.grow.Unlock()
-	var cur []*sweepWorkerCell
-	if cp := o.cells.Load(); cp != nil {
-		cur = *cp
-	}
-	if w < len(cur) {
-		return cur[w]
-	}
-	next := make([]*sweepWorkerCell, w+1)
-	copy(next, cur)
-	for i := len(cur); i <= w; i++ {
-		next[i] = &sweepWorkerCell{}
-	}
-	o.cells.Store(&next)
-	return next[w]
-}
-
 // CellStart implements sweep.Monitor.
 func (o *SweepObserver) CellStart(cell, worker int) {
 	if o == nil {
@@ -164,30 +111,15 @@ func (o *SweepObserver) CellStart(cell, worker int) {
 	o.inflight.Add(1)
 }
 
-// CellDone implements sweep.Monitor: it accumulates the cell's outcome in
-// the owning worker's private cell (folded into the registry by Drain) and
-// emits a cell_done event. There is deliberately no per-cell series: cell
-// indices are unbounded label cardinality (a -exp all run has hundreds),
-// and per-cell timings are already captured exactly in the run manifest
-// via sweep.Timing.
+// CellDone implements sweep.Monitor: it moves the inflight gauge down and
+// emits a cell_done event. There is deliberately no per-cell series: cell indices are unbounded label
+// cardinality (a -exp all run has hundreds), and per-cell timings are
+// already captured exactly in the run manifest.
 func (o *SweepObserver) CellDone(cell, worker int, d time.Duration, err error) {
 	if o == nil {
 		return
 	}
 	o.inflight.Add(-1)
-	c := o.cell(worker)
-	c.completed++
-	if err != nil {
-		c.errors++
-	}
-	secs := d.Seconds()
-	c.secSum += secs
-	i := 0
-	for i < len(sweepCellBounds) && secs > sweepCellBounds[i] {
-		i++
-	}
-	c.buckets[i]++
-	c.busyMs += uint64(d.Milliseconds())
 	if o.log == nil {
 		// Without a sink the event fields would be built only to be
 		// discarded; skipping keeps the no-log CellDone allocation-free
@@ -195,7 +127,7 @@ func (o *SweepObserver) CellDone(cell, worker int, d time.Duration, err error) {
 		return
 	}
 	fields := map[string]any{
-		"cell": cell, "worker": worker, "seconds": secs,
+		"cell": cell, "worker": worker, "seconds": d.Seconds(),
 	}
 	for i := 0; i+1 < len(o.labels); i += 2 {
 		fields[o.labels[i]] = o.labels[i+1]
@@ -206,29 +138,25 @@ func (o *SweepObserver) CellDone(cell, worker int, d time.Duration, err error) {
 	o.log.Emit("cell_done", fields)
 }
 
-// Drain folds every worker's private accumulator into the registry and
-// resets the accumulators, so an observer reused across sweeps publishes
-// each sweep's cells exactly once. Call it after the sweep joins (no
-// CellDone may be concurrent with Drain); it is cheap and idempotent
-// between sweeps — a drained observer drains to zero.
-func (o *SweepObserver) Drain() {
+// Publish folds one joined sweep's per-worker records into the registry:
+// every cell's outcome and duration, and each worker's busy time, in
+// milliseconds converted once per worker so that short cells are not
+// truncated away one by one.
+func (o *SweepObserver) Publish(ws []sweep.WorkerStats) {
 	if o == nil {
 		return
 	}
-	cp := o.cells.Load()
-	if cp == nil {
-		return
-	}
-	for w, c := range *cp {
-		if c.completed == 0 && c.errors == 0 {
+	for _, w := range ws {
+		if w.Finished == 0 && w.Busy == 0 {
 			continue
 		}
-		o.completed.Add(c.completed)
-		o.errors.Add(c.errors)
-		o.seconds.merge(c.buckets[:], c.completed, c.secSum)
+		o.completed.Add(uint64(w.Finished))
+		o.errors.Add(uint64(w.Errs))
+		for _, c := range w.Cells {
+			o.seconds.Observe(c.Elapsed.Seconds())
+		}
 		o.reg.Counter(MetricSweepWorkerMs, "per-worker busy time in milliseconds",
-			append([]string{"worker", strconv.Itoa(w)}, o.labels...)...).Add(c.busyMs)
-		*c = sweepWorkerCell{}
+			append([]string{"worker", strconv.Itoa(w.Worker)}, o.labels...)...).Add(uint64(w.Busy.Milliseconds()))
 	}
 }
 

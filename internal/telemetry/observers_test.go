@@ -1,36 +1,34 @@
 package telemetry
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"retstack/internal/sweep"
 )
 
-// TestSweepObserverCellDoneAllocs pins the cell hot path: once a worker's
-// accumulator exists, CellDone without an event sink is pure arithmetic on
-// worker-private memory — zero allocations, zero shared mutable state
-// beyond the inflight gauge.
+// TestSweepObserverCellDoneAllocs pins the cell hot path: without an
+// event sink, CellDone moves the inflight gauge and nothing else — zero
+// allocations, no shared state beyond the gauge.
 func TestSweepObserverCellDoneAllocs(t *testing.T) {
 	obs := NewSweepObserver(NewRegistry(), nil, "exp", "t3")
-	// First sight of a worker grows the cell table; warm it first.
-	obs.CellStart(0, 3)
-	obs.CellDone(0, 3, time.Millisecond, nil)
-
 	allocs := testing.AllocsPerRun(100, func() {
 		obs.CellStart(1, 3)
 		obs.CellDone(1, 3, 2*time.Millisecond, nil)
 	})
 	if allocs != 0 {
-		t.Errorf("warm CellDone allocated %.1f objects/op, want 0", allocs)
+		t.Errorf("CellDone allocated %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestSweepObserverDrain: per-worker accumulators publish to the registry
-// only at Drain, exactly once, with a per-worker busy-time series; the
-// schema is present (at zero) before any fold, and a second Drain with no
-// new cells adds nothing.
-func TestSweepObserverDrain(t *testing.T) {
+// TestSweepObserverPublish: a sweep's per-worker records reach the
+// registry only at Publish, once per call, with a per-worker busy-time
+// series converted to milliseconds once per worker (so three 0.6ms cells
+// publish 1ms, not three truncated zeros); the schema is present (at
+// zero) before any publish, workers that did nothing publish no series,
+// and a second sweep's Publish adds on top.
+func TestSweepObserverPublish(t *testing.T) {
 	reg := NewRegistry()
 	obs := NewSweepObserver(reg, nil, "exp", "t3")
 
@@ -50,51 +48,59 @@ func TestSweepObserverDrain(t *testing.T) {
 		}
 	}
 
-	// Two workers finish three cells; one errors.
-	obs.CellStart(0, 0)
-	obs.CellDone(0, 0, 100*time.Millisecond, nil)
-	obs.CellStart(1, 1)
-	obs.CellDone(1, 1, 200*time.Millisecond, nil)
-	obs.CellStart(2, 1)
-	obs.CellDone(2, 1, 50*time.Millisecond, errors.New("boom"))
-
-	// Before Drain the fold targets still read zero — the accumulators
-	// are worker-private until the sweep joins.
-	if got := expo(); !strings.Contains(got, MetricSweepCompleted+`{exp="t3"} 0`) {
-		t.Errorf("completed leaked before Drain:\n%s", got)
+	// Two workers end three cells, one with an error; a third worker ends
+	// three sub-millisecond cells; a fourth never got work.
+	rec := func(worker int, ds ...time.Duration) sweep.WorkerStats {
+		w := sweep.WorkerStats{Worker: worker}
+		for i, d := range ds {
+			w.Cells = append(w.Cells, sweep.CellTiming{Cell: 10*worker + i, Worker: worker, Elapsed: d})
+			w.Finished++
+			w.Busy += d
+		}
+		return w
 	}
+	ws := []sweep.WorkerStats{
+		rec(0, 100*time.Millisecond),
+		rec(1, 200*time.Millisecond, 50*time.Millisecond),
+		rec(2, 600*time.Microsecond, 600*time.Microsecond, 600*time.Microsecond),
+		rec(3),
+	}
+	ws[1].Cells[1].Err, ws[1].Errs = true, 1
 
-	obs.Drain()
+	obs.Publish(ws)
 	got := expo()
 	for _, want := range []string{
-		MetricSweepCompleted + `{exp="t3"} 3`,
+		MetricSweepCompleted + `{exp="t3"} 6`,
 		MetricSweepErrors + `{exp="t3"} 1`,
-		MetricSweepCellSeconds + `_count{exp="t3"} 3`,
+		MetricSweepCellSeconds + `_count{exp="t3"} 6`,
+		MetricSweepCellSeconds + `_sum{exp="t3"} 0.3518`,
 		MetricSweepWorkerMs + `{exp="t3",worker="0"} 100`,
 		MetricSweepWorkerMs + `{exp="t3",worker="1"} 250`,
+		MetricSweepWorkerMs + `{exp="t3",worker="2"} 1`,
 	} {
 		if !strings.Contains(got, want) {
-			t.Errorf("post-Drain exposition missing %q:\n%s", want, got)
+			t.Errorf("published exposition missing %q:\n%s", want, got)
 		}
 	}
-
-	// Idempotent: draining again without new cells publishes nothing new.
-	obs.Drain()
-	if again := expo(); again != got {
-		t.Errorf("second Drain changed the exposition:\ngot:\n%s\nwant:\n%s", again, got)
+	if strings.Contains(got, `worker="3"`) {
+		t.Errorf("a worker that ended no cell published a busy series:\n%s", got)
 	}
 
 	// A second sweep through the same observer folds on top.
-	obs.CellStart(3, 0)
-	obs.CellDone(3, 0, 10*time.Millisecond, nil)
-	obs.Drain()
-	if got := expo(); !strings.Contains(got, MetricSweepCompleted+`{exp="t3"} 4`) {
-		t.Errorf("second sweep did not accumulate:\n%s", got)
+	obs.Publish([]sweep.WorkerStats{rec(0, 10*time.Millisecond)})
+	got = expo()
+	for _, want := range []string{
+		MetricSweepCompleted + `{exp="t3"} 7`,
+		MetricSweepWorkerMs + `{exp="t3",worker="0"} 110`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("second sweep did not accumulate %q:\n%s", want, got)
+		}
 	}
 }
 
 // TestSweepObserverInflightLive: the inflight gauge is the one shared
-// quantity that must move in real time, not at Drain.
+// quantity that must move in real time, not at Publish.
 func TestSweepObserverInflightLive(t *testing.T) {
 	reg := NewRegistry()
 	obs := NewSweepObserver(reg, nil)

@@ -230,30 +230,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// merge folds pre-aggregated observations in: counts holds per-bucket
-// observation counts aligned with h's buckets (len(bounds)+1, +Inf last),
-// count their total, sum their value sum. Shorter counts slices fold what
-// they have; extra buckets are ignored. Used by observers that accumulate
-// in worker-private cells and publish once per sweep.
-func (h *Histogram) merge(counts []uint64, count uint64, sum float64) {
-	if h == nil || count == 0 {
-		return
-	}
-	for i := 0; i < len(counts) && i < len(h.counts); i++ {
-		if counts[i] != 0 {
-			h.counts[i].Add(counts[i])
-		}
-	}
-	h.count.Add(count)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + sum)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Count returns the total number of observations (0 for nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
