@@ -406,7 +406,7 @@ func main() {
 				"holes": len(res.Holes),
 			})
 			if *progress {
-				reportSweep(os.Stderr, id, elapsed, cells)
+				reportSweep(os.Stderr, id, elapsed, ws)
 			}
 		}
 		if agg != nil {
@@ -513,29 +513,24 @@ func experimentRecord(id string, elapsed time.Duration, cells []sweep.CellTiming
 }
 
 // reportSweep prints the post-sweep utilization/straggler summary that
-// -progress promises: which cells gated the wall clock and how busy the
-// pool stayed. Utilization counts only the workers that ended a cell:
-// the scheduler starts a worker per pending cell up to -parallel, and a
-// sweep of a few lockstep units may leave most of them without work.
-func reportSweep(w io.Writer, id string, wall time.Duration, cells []sweep.CellTiming) {
+// -progress promises: how busy the pool stayed (sweep.Utilization) and
+// which cells gated the wall clock, in milliseconds as p2 prints them.
+func reportSweep(w io.Writer, id string, wall time.Duration, ws []sweep.WorkerStats) {
+	cells := sweep.Cells(ws)
 	if len(cells) == 0 {
 		return
 	}
-	var busy time.Duration
-	ran := map[int]bool{}
-	for _, c := range cells {
-		busy += c.Elapsed
-		ran[c.Worker] = true
-	}
-	line := fmt.Sprintf("sweep %s: %d cells, utilization %.0f%%, median cell %.2fs",
-		id, len(cells), 100*busy.Seconds()/(float64(len(ran))*wall.Seconds()), sweep.Median(cells).Seconds())
+	line := fmt.Sprintf("sweep %s: %d cells, utilization %.0f%%, median cell %.1fms",
+		id, len(cells), 100*sweep.Utilization(ws, wall), ms(sweep.Median(cells)))
 	if stragglers := sweep.Stragglers(cells, 3); len(stragglers) != 0 {
 		s := stragglers[0]
-		line += fmt.Sprintf("; straggler cell %d (%.2fs on worker %d)",
-			s.Cell, s.Elapsed.Seconds(), s.Worker)
+		line += fmt.Sprintf("; straggler cell %d (%.1fms on worker %d)", s.Cell, ms(s.Elapsed), s.Worker)
 	}
 	fmt.Fprintln(w, line)
 }
+
+// ms converts d to milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // printCSV dumps the experiment's structured values as
 // experiment,metric,bench,config,value rows (stable order for diffing).

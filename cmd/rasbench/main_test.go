@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"retstack/internal/experiments"
+	"retstack/internal/sweep"
 	"retstack/internal/telemetry"
 )
 
@@ -321,6 +323,28 @@ func TestSkipPolicyEmitsCSVHole(t *testing.T) {
 	}
 	if !strings.Contains(csv, "t3,hit,go,none,") {
 		t.Errorf("sibling cells lost their CSV rows:\n%s", csv)
+	}
+}
+
+// TestReportSweep: the -progress summary prints the utilization
+// sweep.Utilization returns, which leaves out the worker that ended no
+// cell, and cell times in milliseconds, so cells of 3 ms print a nonzero
+// median.
+func TestReportSweep(t *testing.T) {
+	cell := func(i, w int) sweep.CellTiming {
+		return sweep.CellTiming{Cell: i, Worker: w, Elapsed: 3 * time.Millisecond}
+	}
+	ws := []sweep.WorkerStats{
+		{Worker: 0, Busy: 6 * time.Millisecond, Cells: []sweep.CellTiming{cell(0, 0), cell(2, 0)}},
+		{Worker: 1, Busy: 3 * time.Millisecond, Cells: []sweep.CellTiming{cell(1, 1)}},
+		{Worker: 2, Wait: 8 * time.Millisecond},
+	}
+	const wall = 8 * time.Millisecond
+	var b strings.Builder
+	reportSweep(&b, "t3", wall, ws)
+	want := fmt.Sprintf("sweep t3: 3 cells, utilization %.0f%%, median cell 3.0ms\n", 100*sweep.Utilization(ws, wall))
+	if b.String() != want || !strings.Contains(want, "utilization 56%") {
+		t.Errorf("reportSweep printed %q, want %q at 9 ms busy over 2 workers × 8 ms", b.String(), want)
 	}
 }
 

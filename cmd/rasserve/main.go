@@ -3,8 +3,8 @@
 // worker pool, and stream per-cell progress and results back as JSONL or
 // SSE. Every campaign runs lookup-before-simulate against one shared
 // content-addressed result store, so a resubmitted campaign answers from
-// cache — and concurrent campaigns racing on the same cells collapse to a
-// single simulation via the store's singleflight.
+// cache — and a campaign that starts an experiment another campaign is
+// running with the same parameters waits for it, then answers from cache.
 //
 // The campaign queue is durable: with -queue set, every submission, state
 // transition, rendered table, and terminal status is appended crash-safely
@@ -150,7 +150,7 @@ func main() {
 	}
 	// The listener is drained, but campaign goroutines may still be
 	// finishing cells: wait (bounded) before closing the store so a
-	// leader's final Put lands instead of failing with "store closed" and
+	// cell's final Put lands instead of failing with "store closed" and
 	// turning a clean shutdown into a lost result. The signal already
 	// canceled ctx, so queued campaigns park without a terminal status
 	// (the campaign log re-adopts them on the next boot) and running
@@ -208,7 +208,6 @@ type campaign struct {
 	events   []json.RawMessage
 	notify   chan struct{}
 	tables   map[string]string
-	cached   map[string]bool // "exp/cell" resolved from the store, not simulated
 	hits     uint64
 	shared   uint64
 	executed uint64
@@ -284,13 +283,9 @@ func (c *campaign) next(i int) ([]json.RawMessage, bool, <-chan struct{}) {
 }
 
 // campMonitor feeds sweep-cell lifecycle into the campaign stream. Cells
-// spliced in before the sweep never reach the cell scheduler, so CellDone
-// mostly counts actual simulations — the "executed" number a warm
-// resubmit drives to zero. A cell can still resolve from the store
-// *inside* the sweep (it became resident mid-campaign, or a shared
-// flight): those fire both OnStoreHit and CellDone, so CellDone consults
-// the campaign's cached set (written by OnStoreHit before the cell
-// returns) and skips the executed counter for them.
+// served from the store are spliced in before the sweep and never reach
+// the cell scheduler, so every CellDone is a simulation: "executed", the
+// number a warm resubmit drives to zero.
 type campMonitor struct {
 	c   *campaign
 	exp string
@@ -299,17 +294,10 @@ type campMonitor struct {
 func (m *campMonitor) CellStart(cell, worker int) {}
 
 func (m *campMonitor) CellDone(cell, worker int, d time.Duration, err error) {
-	key := fmt.Sprintf("%s/%d", m.exp, cell)
 	m.c.mu.Lock()
-	cached := m.c.cached[key]
-	if !cached {
-		m.c.executed++
-	}
+	m.c.executed++
 	m.c.mu.Unlock()
 	f := map[string]any{"exp": m.exp, "cell": cell, "worker": worker, "seconds": d.Seconds()}
-	if cached {
-		f["cached"] = true
-	}
 	if err != nil {
 		f["error"] = err.Error()
 	}
@@ -384,7 +372,6 @@ func (s *server) recover() (recovered, requeued int) {
 			errMsg:     rc.Error,
 			notify:     make(chan struct{}),
 			tables:     make(map[string]string, len(rc.Tables)),
-			cached:     make(map[string]bool),
 		}
 		for exp, tbl := range rc.Tables {
 			c.tables[exp] = tbl
@@ -681,7 +668,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status:     "queued",
 		notify:     make(chan struct{}),
 		tables:     make(map[string]string),
-		cached:     make(map[string]bool),
 	}
 	s.campaigns[c.ID] = c
 	s.order = append(s.order, c.ID)
@@ -726,20 +712,15 @@ func (s *server) params(c *campaign, exp string) experiments.Params {
 	}
 	p.Store, p.StoreScope = s.store, c.Scope
 	p.OnStoreFault = func(err error) { s.degrade("store", err) }
-	p.OnStoreHit = func(exp string, cell int, shared bool) {
+	p.OnStoreHit = func(exp string, cell int, shared bool, prov resultstore.Provenance) {
 		c.mu.Lock()
-		c.cached[fmt.Sprintf("%s/%d", exp, cell)] = true
 		if shared {
 			c.shared++
 		} else {
 			c.hits++
 		}
 		c.mu.Unlock()
-		f := map[string]any{"exp": exp, "cell": cell, "shared": shared}
-		if prov, ok := s.store.Prov(resultstore.CellKey(c.Scope, exp, cell)); ok {
-			f["prov"] = prov
-		}
-		c.emit("cell_cached", f)
+		c.emit("cell_cached", map[string]any{"exp": exp, "cell": cell, "shared": shared, "prov": prov})
 	}
 	return p
 }

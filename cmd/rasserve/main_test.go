@@ -201,6 +201,42 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeConcurrentCampaigns: two identical campaigns submitted back to
+// back on one server simulate each cell once between them. The store
+// holds 8 records, the campaigns' executed counts sum to 8, each campaign
+// accounts for all 8 cells as hits, shared or executed, and both render
+// the same tables.
+func TestServeConcurrentCampaigns(t *testing.T) {
+	srv, ts := testServer(t)
+	const spec = `{"exps":["t3"],"insts":15000,"workloads":["go","li"]}`
+	a, b := submit(t, ts, spec), submit(t, ts, spec)
+	executed := 0.0
+	for _, v := range []view{a, b} {
+		done := last(t, stream(t, ts, v.ID), "campaign_done")
+		if done["status"] != "completed" {
+			t.Fatalf("campaign %s ended %v", v.ID, done)
+		}
+		hits, _ := done["hits"].(float64)
+		shared, _ := done["shared"].(float64)
+		ex, _ := done["executed"].(float64)
+		if hits+shared+ex != 8 {
+			t.Errorf("campaign %s: hits %v + shared %v + executed %v, want 8 cells", v.ID, hits, shared, ex)
+		}
+		executed += ex
+	}
+	if executed != 8 {
+		t.Errorf("the campaigns executed %v cells between them, want 8", executed)
+	}
+	if puts := srv.store.Stats().Puts; puts != 8 {
+		t.Errorf("store holds %d puts, want 8", puts)
+	}
+	_, at := get(t, ts, "/campaigns/"+a.ID+"/tables")
+	_, bt := get(t, ts, "/campaigns/"+b.ID+"/tables")
+	if at != bt || !strings.Contains(at, "Table 3") {
+		t.Errorf("tables differ:\n--- %s ---\n%s--- %s ---\n%s", a.ID, at, b.ID, bt)
+	}
+}
+
 // TestServeStatusAndList: the campaign surfaces through /campaigns and
 // /campaigns/{id} with its counters.
 func TestServeStatusAndList(t *testing.T) {

@@ -95,10 +95,12 @@ type Params struct {
 	// rasbench -store flag, rasserve's backing store): before a cell
 	// simulates, the store is probed under CellKey(StoreScope, exp, cell)
 	// and a hit is spliced in around the cell scheduler — no execution, no
-	// monitor callbacks. Misses simulate inside the store's singleflight
-	// (concurrent identical cells collapse into one simulation) and the
-	// result is appended crash-safely before the cell counts as done, so
-	// rerunning an interrupted run against the same store resumes it.
+	// monitor callbacks. Each simulated cell's result is appended
+	// crash-safely before the cell counts as done, so rerunning an
+	// interrupted run against the same store resumes it. A sweep holds the
+	// store's claim on its scope and experiment while it runs, so a
+	// concurrent identical sweep waits for it and simulates only what it
+	// did not store.
 	// Results are byte-identical with the store on, off, cold, or warm
 	// (pinned by TestStoreMatchesUncached); fault injection is refused
 	// because injected cells produce results a clean run must never see.
@@ -108,10 +110,10 @@ type Params struct {
 	// when Store is set.
 	StoreScope string
 	// OnStoreHit, if non-nil, observes each cell served from the store
-	// (shared=false: resident record; shared=true: another in-flight
-	// identical cell's computation) instead of simulated. Called from
-	// sweep setup and worker goroutines; must be concurrency-safe.
-	OnStoreHit func(exp string, cell int, shared bool)
+	// instead of simulated, with the record's provenance; shared reports
+	// that the sweep first waited for another run's claim on it. Called
+	// on Run's goroutine, before the sweep's workers start.
+	OnStoreHit func(exp string, cell int, shared bool, prov resultstore.Provenance)
 	// OnStoreFault, if non-nil, observes a store I/O failure the run
 	// absorbed: a cell simulated successfully but its result could not
 	// be persisted (disk full, failed fsync), so the cell completed
@@ -300,22 +302,42 @@ type workloadProfile struct {
 	P95Depth int    `json:"p95_depth"`
 }
 
-// storeLookups is lookup-before-simulate: it returns each cell's store
-// key (nil without a store) and the cells the store already holds. Hits
-// splice in around the scheduler — no execution, no monitor callbacks —
-// which is what lets a warm rerun assert zero simulations. An
-// undecodable payload (schema drift across versions) degrades to a miss;
-// the re-simulated result re-Puts and heals the store, since the latest
-// record for a key wins.
-func (p Params) storeLookups(n int) ([]string, map[int]cellOut) {
-	spliced := map[int]cellOut{}
+// storeLookups is lookup-before-simulate. It first claims the sweep —
+// its scope and experiment — in the store (resultstore.Store.Claim), so a
+// concurrent identical sweep waits until this one returns, then finds
+// every cell it stored; the caller releases the claim when the sweep
+// returns. Under the cell watchdog the wait is bounded by the cell
+// timeout, and past it the sweep runs unclaimed: a cell both sweeps
+// simulate is stored twice, harmlessly, since the latest record wins.
+//
+// It returns each cell's store key (nil without a store) and the cells
+// the store already holds. Hits splice in around the scheduler — no
+// execution, no monitor callbacks — which is what lets a warm rerun
+// assert zero simulations. An undecodable payload (schema drift across
+// versions) degrades to a miss; the re-simulated result re-Puts and heals
+// the store, since the latest record for a key wins.
+func (p Params) storeLookups(n int) (keys []string, spliced map[int]cellOut, release func(), err error) {
+	spliced = map[int]cellOut{}
 	if p.Store == nil {
-		return nil, spliced
+		return nil, spliced, func() {}, nil
 	}
-	keys := make([]string, n)
-	for i := 0; i < n; i++ {
+	ctx := p.ctx()
+	if p.CellTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.CellTimeout)
+		defer cancel()
+	}
+	release, waited, err := p.Store.Claim(ctx, p.StoreScope+"/"+p.expID)
+	if err != nil {
+		if err := p.ctx().Err(); err != nil {
+			return nil, nil, nil, err
+		}
+		release = func() {} // the watchdog's bound ran out
+	}
+	keys = make([]string, n)
+	for i := range keys {
 		keys[i] = resultstore.CellKey(p.StoreScope, p.expID, i)
-		raw, _, ok := p.Store.Get(keys[i])
+		raw, prov, ok := p.Store.Get(keys[i])
 		if !ok {
 			continue
 		}
@@ -325,10 +347,10 @@ func (p Params) storeLookups(n int) ([]string, map[int]cellOut) {
 		}
 		spliced[i] = c
 		if p.OnStoreHit != nil {
-			p.OnStoreHit(p.expID, i, false)
+			p.OnStoreHit(p.expID, i, waited, prov)
 		}
 	}
-	return keys, spliced
+	return keys, spliced, release, nil
 }
 
 // pendingCells lists, in order, the cells of [0, n) the store did not

@@ -95,7 +95,8 @@ type ScalingLevel struct {
 	// Speedup is serial wall / this level's wall (1.0 at the serial
 	// level by construction; 0 when no serial level was measured).
 	Speedup float64 `json:"speedup"`
-	// Utilization is busy time / (workers × wall): 1.0 = no worker idled.
+	// Utilization is sweep.Utilization: busy time over (workers that ended
+	// a cell × wall); 1.0 = none of them idled.
 	Utilization float64 `json:"utilization"`
 
 	// Per-cell latency quantiles (straggler tail shape).
@@ -231,9 +232,7 @@ func MeasureScaling(p Params, target string, levels []int) (*ScalingReport, erro
 		if med := sweep.Median(cells); med > 0 {
 			level.StragglerRatio = float64(sweep.Quantile(cells, 1)) / float64(med)
 		}
-		var busy time.Duration
 		for _, w := range ws {
-			busy += w.Busy
 			sw := ScalingWorker{
 				Worker: w.Worker,
 				Cells:  w.Finished,
@@ -248,7 +247,7 @@ func MeasureScaling(p Params, target string, levels []int) (*ScalingReport, erro
 		}
 		if wall > 0 && len(ws) > 0 {
 			level.CellsPerSec = float64(len(cells)) / wall.Seconds()
-			level.Utilization = busy.Seconds() / (float64(len(ws)) * wall.Seconds())
+			level.Utilization = sweep.Utilization(ws, wall)
 		}
 		rep.Levels = append(rep.Levels, level)
 	}
@@ -324,7 +323,7 @@ func RenderScaling(id string, rep *ScalingReport) (*Result, error) {
 			res.Tables = append(res.Tables, wt)
 		}
 		res.Notes = []string{
-			"utilization is busy time over workers × wall clock; 1.00 means no worker ever idled",
+			"utilization is busy time over (workers that ended a cell × wall clock); 1.00 means none of them idled, and the per-worker table also lists workers that ended none",
 			"straggler ratio is the slowest cell over the median cell",
 		}
 	case "p3":

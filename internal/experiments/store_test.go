@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,7 +143,8 @@ func TestStoreScopeSeparatesParams(t *testing.T) {
 }
 
 // TestOnStoreHitCallback: every warm-splice surfaces through OnStoreHit
-// exactly once, with shared=false (no concurrent flight to join).
+// exactly once, with shared=false (no concurrent run to wait for) and the
+// record's provenance.
 func TestOnStoreHitCallback(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	if _, err := Run("t3", storeParams(st, "s")); err != nil {
@@ -153,11 +153,14 @@ func TestOnStoreHitCallback(t *testing.T) {
 	var mu sync.Mutex
 	hits := map[int]bool{}
 	p := storeParams(st, "s")
-	p.OnStoreHit = func(exp string, cell int, shared bool) {
+	p.OnStoreHit = func(exp string, cell int, shared bool, prov resultstore.Provenance) {
 		mu.Lock()
 		defer mu.Unlock()
 		if exp != "t3" {
 			t.Errorf("hit reported for experiment %q, want t3", exp)
+		}
+		if prov.Exp != "t3" || prov.Cell != cell || prov.Scope != "s" {
+			t.Errorf("cell %d reported provenance %+v, want its own record's", cell, prov)
 		}
 		if shared {
 			t.Errorf("cell %d reported shared=true on a sequential warm run", cell)
@@ -187,13 +190,15 @@ func TestStoreRefusesFaultInjection(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsShareFlights is the singleflight collapse proof at
-// the experiments layer (run under -race in CI): four identical sweeps
-// racing on one cold store must persist each cell exactly once — every
-// other caller either joins the in-flight simulation or hits the record
-// it left behind — simulate each cell exactly once between them, and all
-// four must render identical tables. t3's cells run as lockstep units, so
-// a racer joins a unit's lead flight and then finds its members stored.
+// TestConcurrentRunsShareFlights is the one-simulation-per-cell proof
+// for concurrent runs (run under -race in CI): four identical sweeps
+// racing on one cold store must persist each cell exactly once, simulate
+// each cell exactly once between them, and render identical tables. One
+// racer holds the sweep's claim and simulates; the others wait for it and
+// then hit every cell it stored, so hits are exactly the other racers'
+// cells. How many racers waited (Stats.Shared) depends on timing: a racer
+// that arrives after the claim is released finds the cells without
+// waiting.
 func TestConcurrentRunsShareFlights(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	simulated := unitStats.simulated.Load()
@@ -223,31 +228,24 @@ func TestConcurrentRunsShareFlights(t *testing.T) {
 	if s.Puts != 8 {
 		t.Errorf("%d cells persisted across %d concurrent runs, want 8 (one simulation per cell)", s.Puts, racers)
 	}
-	if got := s.Hits + s.Shared; got != (racers-1)*8 {
-		t.Errorf("hits+shared = %d, want %d: every non-leader must hit or join a flight", got, (racers-1)*8)
+	if s.Hits != (racers-1)*8 {
+		t.Errorf("hits = %d, want %d: every racer but the holder must hit every cell", s.Hits, (racers-1)*8)
 	}
 	if n := unitStats.simulated.Load() - simulated; n != 8 {
 		t.Errorf("the racers simulated %d cells between them, want 8", n)
 	}
 }
 
-// TestWatchdogBoundsStoreWait: under the watchdog, a cell whose key
-// another run is computing waits on that run's store flight for at most
-// the cell timeout, then becomes the cell's watchdog hole; the other
-// cells still run.
+// TestWatchdogBoundsStoreWait: under the watchdog, a sweep whose claim
+// another run holds waits for it for at most the cell timeout, then runs
+// unclaimed: it simulates and stores every cell itself, with no hole.
 func TestWatchdogBoundsStoreWait(t *testing.T) {
 	st := openStore(t, t.TempDir())
-	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		st.Do(context.Background(), resultstore.CellKey("s", "t3", 0), func() ([]byte, resultstore.Provenance, error) {
-			close(started)
-			<-release
-			return nil, resultstore.Provenance{}, errors.New("the other run gave up")
-		})
-	}()
-	<-started
-	defer func() { close(release); <-done }()
+	release, _, err := st.Claim(context.Background(), "s/t3") // the other run's hold on the sweep
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 
 	p := storeParams(st, "s")
 	p.InstBudget = 2_000 // cells of a few ms, far inside the limit even under -race on a loaded host
@@ -257,11 +255,11 @@ func TestWatchdogBoundsStoreWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Holes) != 1 || !strings.HasPrefix(res.Holes[0], "sweep: cell 0: cell watchdog") {
-		t.Errorf("holes = %q, want cell 0's watchdog timeout", res.Holes)
+	if len(res.Holes) != 0 {
+		t.Errorf("holes = %q, want none", res.Holes)
 	}
-	if puts := st.Stats().Puts; puts != 7 {
-		t.Errorf("%d cells persisted, want the 7 cells no other run was computing", puts)
+	if s := st.Stats(); s.Shared != 1 || s.Puts != 8 {
+		t.Errorf("stats = %+v, want 1 wait for the other run's claim and 8 cells persisted", s)
 	}
 }
 
@@ -314,7 +312,7 @@ func TestStoreFaultDegradesToUncached(t *testing.T) {
 	st.SetPutFault(nil)
 	hits := 0
 	p2 := storeParams(st, "scopeA")
-	p2.OnStoreHit = func(exp string, cell int, shared bool) { hits++ }
+	p2.OnStoreHit = func(exp string, cell int, shared bool, prov resultstore.Provenance) { hits++ }
 	p2.Parallel = 1
 	if _, err := Run("t3", p2); err != nil {
 		t.Fatal(err)

@@ -47,11 +47,11 @@ import (
 //     *sweep.PanicError naming the cell); a failing simulation fails every
 //     cell it carried. Under skip each is a hole, reported in cell order;
 //     under abort the sweep returns the lowest failing cell's error;
-//   - with a store, a unit runs inside the store flight of its lead (its
-//     lowest pending cell) and persists its other members before that
-//     flight completes, so a concurrent identical run shares the lead's
-//     flight and then finds the members stored; misses are fsynced before
-//     they count as done, so rerunning an interrupted sweep resumes it;
+//   - with a store, every simulated cell is stored, fsynced, when its
+//     carrier ends, before it counts as done, so rerunning an interrupted
+//     sweep resumes it; the sweep holds its store claim until it returns
+//     (see storeLookups), so a concurrent identical run waits and then
+//     finds every cell stored;
 //   - cancellation and an aborting failure stop units and forks from
 //     starting; running carriers finish;
 //   - at most Params.Parallel simulations run at once: one per worker.
@@ -70,23 +70,11 @@ func (p Params) soloCells() bool {
 	return p.Trace != nil || p.Sample != nil || p.Inject != nil || p.CellTimeout > 0
 }
 
-// unit is a group of pending cells simulated together, lead first.
-type unit struct {
-	cells []int
-	// left counts the unit's carriers still running or parked (under
-	// grouper.mu); the unit is done at zero.
-	left int
-	// flight marks a unit running inside its lead's store flight: the
-	// lead's result goes to the flight (leadOut, leadErr), not to the
-	// sweep, when its carrier ends.
-	flight  bool
-	leadOut cellOut
-	leadErr error
-}
-
-// parked is a forked carrier waiting for a worker.
-type parked struct {
-	u    *unit
+// work is what take hands a worker: a unit to start (fork nil), or a
+// parked carrier, a copy one of the unit's carriers forked. unit lists
+// the unit's cells, lead first.
+type work struct {
+	unit []int
 	fork *pipeline.Fork
 }
 
@@ -112,10 +100,10 @@ type grouper struct {
 
 	mu      sync.Mutex
 	cond    sync.Cond
-	units   []*unit // in lead order; next is the first not started
+	units   [][]int // in lead order; next is the first not started
 	next    int
-	forks   []parked // newest last: workers take the newest first
-	active  int      // carriers running
+	forks   []work // newest last: workers take the newest first
+	active  int    // carriers running
 	stopped bool
 
 	fails sweep.Failures
@@ -125,10 +113,11 @@ type grouper struct {
 // started because an aborting failure stopped the sweep.
 var errAbandoned = errors.New("abandoned: the sweep stopped before this cell's carrier started")
 
-// runUnits is the sweep: the image pre-phase, store lookups, the warm
-// phase, unit formation, and the worker pool that runs units and their
-// forks. With profile set every cell is a unit of one that also profiles
-// its workload on the functional emulator (t2's cells).
+// runUnits is the sweep: the image pre-phase, the store claim and
+// lookups, the warm phase, unit formation, and the worker pool that runs
+// units and their forks. With profile set every cell is a unit of one
+// that also profiles its workload on the functional emulator (t2's
+// cells).
 func (p Params) runUnits(cells []simCell, profile bool) ([]cellOut, error) {
 	wls := make([]workloads.Workload, len(cells))
 	for i, c := range cells {
@@ -139,7 +128,11 @@ func (p Params) runUnits(cells []simCell, profile bool) ([]cellOut, error) {
 		return nil, err
 	}
 	rec := p.newRecyclers()
-	keys, spliced := p.storeLookups(len(cells))
+	keys, spliced, release, err := p.storeLookups(len(cells))
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	pending := pendingCells(len(cells), spliced)
 	g := &grouper{p: p, ctx: p.ctx(), cells: cells, profile: profile, ims: ims, keys: keys,
 		out: make([]cellOut, len(cells)), dur: make([]time.Duration, len(cells)),
@@ -167,11 +160,11 @@ func (p Params) runUnits(cells []simCell, profile bool) ([]cellOut, error) {
 		go func(w *unitWorker) {
 			defer wg.Done()
 			for {
-				u, f, ok := g.take(w, nil)
+				wk, ok := g.take(w)
 				if !ok {
 					return
 				}
-				g.run(w, u, f)
+				g.run(w, wk)
 			}
 		}(ws[i])
 	}
@@ -205,14 +198,14 @@ func (p Params) runUnits(cells []simCell, profile bool) ([]cellOut, error) {
 // pending cell with its workload, start state and pipeline.LockstepKey; a
 // cell no lockstep Sim can carry, or whose warm-up failed, is a unit of
 // its own, and so is every cell of a profiling or solo sweep.
-func (g *grouper) formUnits(pending []int) []*unit {
+func (g *grouper) formUnits(pending []int) [][]int {
 	type key struct {
 		workload string
 		from     *pipeline.WarmState
 		cfg      config.Config
 	}
-	index := map[key]*unit{}
-	var units []*unit
+	index := map[key]int{}
+	var units [][]int
 	solo := g.profile || g.p.soloCells()
 	for _, i := range pending {
 		c := g.cells[i]
@@ -221,20 +214,19 @@ func (g *grouper) formUnits(pending []int) []*unit {
 			from = g.warm[i].state
 		}
 		if solo || !pipeline.Lockstepable(c.cfg) || (g.warm != nil && g.warm[i].err != nil) {
-			units = append(units, &unit{cells: []int{i}})
+			units = append(units, []int{i})
 			continue
 		}
 		k := key{c.w.Name, from, pipeline.LockstepKey(c.cfg)}
-		if u, ok := index[k]; ok {
-			u.cells = append(u.cells, i)
+		if j, ok := index[k]; ok {
+			units[j] = append(units[j], i)
 			continue
 		}
-		u := &unit{cells: []int{i}}
-		index[k] = u
-		units = append(units, u)
+		index[k] = len(units)
+		units = append(units, []int{i})
 	}
 	for _, u := range units {
-		if len(u.cells) > 1 {
+		if len(u) > 1 {
 			unitStats.formed.Add(1)
 		}
 	}
@@ -242,18 +234,12 @@ func (g *grouper) formUnits(pending []int) []*unit {
 }
 
 // take returns the next piece of work for w: the newest parked carrier,
-// else (unless w is waiting for unit waitFor, when it takes only parked
-// carriers) the next unit. It returns ok=false once nothing is left: for
-// a waiting worker, once waitFor is done; otherwise once every unit has
-// started and no carrier is running or parked. After cancellation or an
-// aborting failure it starts nothing, and parked carriers end unstarted.
-func (g *grouper) take(w *unitWorker, waitFor *unit) (*unit, *parked, bool) {
+// else the next unit. It returns ok=false once every unit has started and
+// no carrier is running or parked. After cancellation or an aborting
+// failure it starts nothing, and parked carriers end unstarted.
+func (g *grouper) take(w *unitWorker) (work, bool) {
 	g.mu.Lock()
 	for {
-		if waitFor != nil && waitFor.left == 0 {
-			g.mu.Unlock()
-			return nil, nil, false
-		}
 		if !g.stopped && g.ctx.Err() != nil {
 			g.stopped = true
 		}
@@ -270,19 +256,18 @@ func (g *grouper) take(w *unitWorker, waitFor *unit) (*unit, *parked, bool) {
 			g.forks = g.forks[:n-1]
 			g.active++
 			g.mu.Unlock()
-			return nil, &f, true
+			return f, true
 		}
-		if waitFor == nil && !g.stopped && g.next < len(g.units) {
+		if !g.stopped && g.next < len(g.units) {
 			u := g.units[g.next]
 			g.next++
-			u.left = 1
 			g.active++
 			g.mu.Unlock()
-			return u, nil, true
+			return work{unit: u}, true
 		}
-		if waitFor == nil && g.active == 0 && (g.stopped || g.next == len(g.units)) {
+		if g.active == 0 {
 			g.mu.Unlock()
-			return nil, nil, false
+			return work{}, false
 		}
 		g.cond.Wait()
 	}
@@ -291,182 +276,73 @@ func (g *grouper) take(w *unitWorker, waitFor *unit) (*unit, *parked, bool) {
 // abandon ends parked carriers that will never start: each carried cell
 // gets its CellDone with the reason and no result, and is no failure of
 // its own (the cancellation or the failure that stopped the sweep is).
-func (g *grouper) abandon(w *unitWorker, drained []parked) {
+func (g *grouper) abandon(w *unitWorker, drained []work) {
 	reason := g.ctx.Err()
 	if reason == nil {
 		reason = errAbandoned
 	}
 	for _, f := range drained {
-		for _, i := range g.members(f.u, f.fork.Carried()) {
-			if g.flightLead(f.u, i) {
-				f.u.leadErr = reason
-				continue
-			}
+		for _, i := range members(f.unit, f.fork.Carried()) {
 			w.Done(i, g.dur[i], &sweep.CellError{Cell: i, Err: reason})
 		}
-		g.carrierDone(f.u, false)
 	}
 }
 
 // run runs one piece of work take returned.
-func (g *grouper) run(w *unitWorker, u *unit, f *parked) {
+func (g *grouper) run(w *unitWorker, wk work) {
 	w.Idle()
-	if f != nil {
-		g.runCarrier(w, f.u, f.fork.Start(w.rec))
+	if wk.fork != nil {
+		g.runCarrier(w, wk.unit, wk.fork.Start(w.rec))
 		return
 	}
-	for _, i := range u.cells {
+	for _, i := range wk.unit {
 		w.Start(i)
 	}
-	g.startUnit(w, u)
-}
-
-// startUnit runs a unit, inside its lead's store flight when there is a
-// store. Under the watchdog, a wait on another run's flight gives up after
-// the cell timeout.
-func (g *grouper) startUnit(w *unitWorker, u *unit) {
-	if g.p.Store == nil {
-		g.runUnit(w, u)
-		return
-	}
-	ctx := g.ctx
-	if limit := g.p.CellTimeout; limit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, limit)
-		defer cancel()
-	}
-	lead := u.cells[0]
-	u.flight = true
-	computed := false
-	raw, _, outcome, err := g.p.Store.Do(ctx, g.keys[lead], func() ([]byte, resultstore.Provenance, error) {
-		computed = true
-		g.runUnit(w, u)
-		g.await(w, u)
-		if u.leadErr != nil {
-			return nil, resultstore.Provenance{}, u.leadErr
-		}
-		b, err := json.Marshal(u.leadOut)
-		return b, resultstore.Provenance{Scope: g.p.StoreScope, Exp: g.p.expID, Cell: lead}, err
-	})
-	g.charge(w, []int{lead}) // the lead's record, or the wait for another run's flight
-	if !computed {
-		g.carrierDone(u, true) // the unit's first carrier never ran
-	}
-	switch {
-	case computed && (err == nil || resultstore.IsIO(err)):
-		if err != nil && g.p.OnStoreFault != nil {
-			g.p.OnStoreFault(err)
-		}
-		g.out[lead] = u.leadOut
-		unitStats.simulated.Add(1)
-		g.done(w, lead, nil)
-	case computed:
-		g.done(w, lead, err)
-	case err != nil: // gave up waiting for another run's flight
-		if errors.Is(err, context.DeadlineExceeded) && g.ctx.Err() == nil {
-			err = &sweep.TimeoutError{Cell: lead, Limit: g.p.CellTimeout}
-		}
-		for _, i := range u.cells {
-			g.done(w, i, err)
-		}
-	default:
-		// Another run simulated the lead; it stored the unit's other
-		// members before its flight ended. Any it could not store are
-		// simulated here, as a unit of their own.
-		var c cellOut
-		if err := json.Unmarshal(raw, &c); err != nil {
-			g.done(w, lead, fmt.Errorf("store %s cell %d: %w", g.p.expID, lead, err))
-		} else {
-			g.out[lead] = c
-			g.storeHit(lead, outcome == resultstore.SharedFlight)
-			g.done(w, lead, nil)
-		}
-		var missing []int
-		for _, i := range u.cells[1:] {
-			var c cellOut
-			if raw, _, ok := g.p.Store.Get(g.keys[i]); ok && json.Unmarshal(raw, &c) == nil {
-				g.out[i] = c
-				g.storeHit(i, false)
-				g.done(w, i, nil)
-				continue
-			}
-			missing = append(missing, i)
-		}
-		switch {
-		case len(missing) == 0:
-		case g.ctx.Err() != nil:
-			for _, i := range missing {
-				g.done(w, i, g.ctx.Err())
-			}
-		default:
-			g.mu.Lock()
-			g.active++
-			g.mu.Unlock()
-			g.startUnit(w, &unit{cells: missing, left: 1})
-		}
-	}
-}
-
-func (g *grouper) storeHit(cell int, shared bool) {
-	if g.p.OnStoreHit != nil {
-		g.p.OnStoreHit(g.p.expID, cell, shared)
-	}
-}
-
-// await helps run parked carriers until unit u is done.
-func (g *grouper) await(w *unitWorker, u *unit) {
-	for {
-		_, f, ok := g.take(w, u)
-		if !ok {
-			w.Idle()
-			return
-		}
-		g.run(w, nil, f)
-	}
+	g.runUnit(w, wk.unit)
 }
 
 // runUnit builds a unit's first carrier and runs it: a lockstep Sim over
 // its members, or, for a unit of one, the cell's own simulation.
-func (g *grouper) runUnit(w *unitWorker, u *unit) {
-	lead := g.cells[u.cells[0]]
+func (g *grouper) runUnit(w *unitWorker, unit []int) {
+	lead := g.cells[unit[0]]
 	var from *pipeline.WarmState
 	if g.warm != nil {
-		if err := g.warm[u.cells[0]].err; err != nil {
-			g.charge(w, u.cells)
-			g.finish(w, u, u.cells, nil, fmt.Errorf("%s: %w", lead.w.Name, err))
+		if err := g.warm[unit[0]].err; err != nil {
+			g.charge(w, unit)
+			g.finish(w, unit, nil, fmt.Errorf("%s: %w", lead.w.Name, err))
 			return
 		}
-		from = g.warm[u.cells[0]].state
+		from = g.warm[unit[0]].state
 	}
-	if len(u.cells) == 1 {
-		out, err := g.solo(w, u.cells[0], from)
-		g.charge(w, u.cells)
-		g.finish(w, u, u.cells, []cellOut{out}, err)
+	if len(unit) == 1 {
+		out, err := g.solo(w, unit[0], from)
+		g.charge(w, unit)
+		g.finish(w, unit, []cellOut{out}, err)
 		return
 	}
 	im := g.ims[lead.w.Name]
-	cfgs := make([]config.Config, len(u.cells))
-	for k, i := range u.cells {
+	cfgs := make([]config.Config, len(unit))
+	for k, i := range unit {
 		cfgs[k] = g.cells[i].cfg
 	}
 	var sim *pipeline.Sim
-	if err := sweep.Protect(u.cells[0], func() (err error) {
+	if err := sweep.Protect(unit[0], func() (err error) {
 		sim, err = pipeline.NewLockstep(cfgs, im, from, w.rec)
 		return err
 	}); err != nil {
-		g.charge(w, u.cells)
-		g.finish(w, u, u.cells, nil, fmt.Errorf("%s: %w", lead.w.Name, err))
+		g.charge(w, unit)
+		g.finish(w, unit, nil, fmt.Errorf("%s: %w", lead.w.Name, err))
 		return
 	}
-	g.runCarrier(w, u, sim)
+	g.runCarrier(w, unit, sim)
 }
 
-// runCarrier runs a lockstep carrier of unit u to the end, parking the
+// runCarrier runs a lockstep carrier of a unit to the end, parking the
 // copies it forks, and records its members' results.
-func (g *grouper) runCarrier(w *unitWorker, u *unit, sim *pipeline.Sim) {
-	name := g.cells[u.cells[0]].w.Name
+func (g *grouper) runCarrier(w *unitWorker, unit []int, sim *pipeline.Sim) {
+	name := g.cells[unit[0]].w.Name
 	for {
-		cells := g.members(u, pipeline.Carried(sim))
+		cells := members(unit, pipeline.Carried(sim))
 		var forks []*pipeline.Fork
 		var outs []cellOut
 		err := sweep.Protect(cells[0], func() (err error) {
@@ -488,14 +364,13 @@ func (g *grouper) runCarrier(w *unitWorker, u *unit, sim *pipeline.Sim) {
 			if err != nil {
 				err = fmt.Errorf("%s: %w", name, err)
 			}
-			g.finish(w, u, cells, outs, err)
+			g.finish(w, cells, outs, err)
 			return
 		}
 		unitStats.forks.Add(int64(len(forks)))
 		g.mu.Lock()
-		u.left += len(forks)
 		for _, f := range forks {
-			g.forks = append(g.forks, parked{u, f})
+			g.forks = append(g.forks, work{unit, f})
 		}
 		g.cond.Broadcast()
 		g.mu.Unlock()
@@ -503,29 +378,21 @@ func (g *grouper) runCarrier(w *unitWorker, u *unit, sim *pipeline.Sim) {
 }
 
 // members maps lockstep member names to the unit's cells.
-func (g *grouper) members(u *unit, ids []int) []int {
+func members(unit, ids []int) []int {
 	if ids == nil {
-		return u.cells
+		return unit
 	}
 	cells := make([]int, len(ids))
 	for k, id := range ids {
-		cells[k] = u.cells[id]
+		cells[k] = unit[id]
 	}
 	return cells
 }
 
 // finish records a carrier's end: each cell's result (outs[k] for
 // cells[k]) and, with a store, its record, or err for every cell.
-func (g *grouper) finish(w *unitWorker, u *unit, cells []int, outs []cellOut, err error) {
+func (g *grouper) finish(w *unitWorker, cells []int, outs []cellOut, err error) {
 	for k, i := range cells {
-		if g.flightLead(u, i) {
-			if err != nil {
-				u.leadErr = err
-			} else {
-				u.leadOut = outs[k]
-			}
-			continue
-		}
 		cerr := err
 		if err == nil {
 			g.out[i] = outs[k]
@@ -534,15 +401,14 @@ func (g *grouper) finish(w *unitWorker, u *unit, cells []int, outs []cellOut, er
 		}
 		g.done(w, i, cerr)
 	}
-	g.carrierDone(u, true)
+	g.mu.Lock()
+	g.active--
+	g.cond.Broadcast()
+	g.mu.Unlock()
 }
 
-// flightLead reports whether cell i is the lead of a unit running inside
-// its store flight.
-func (g *grouper) flightLead(u *unit, i int) bool { return u.flight && i == u.cells[0] }
-
-// persist stores a member's result, as the lead's flight stores the
-// lead's. A storage failure leaves the cell uncached, not failed.
+// persist stores a simulated cell's result. A storage failure leaves the
+// cell uncached, not failed.
 func (g *grouper) persist(i int) error {
 	if g.p.Store == nil {
 		return nil
@@ -558,18 +424,6 @@ func (g *grouper) persist(i int) error {
 		return nil
 	}
 	return err
-}
-
-// carrierDone retires one of u's carriers; running says it was running
-// rather than parked.
-func (g *grouper) carrierDone(u *unit, running bool) {
-	g.mu.Lock()
-	u.left--
-	if running {
-		g.active--
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
 }
 
 // done ends cell i on w: its CellDone, and, for an error, its failure

@@ -76,16 +76,16 @@ func TestGroupedMatchesSolo(t *testing.T) {
 				}
 			}
 			for _, u := range g.formUnits(pending) {
-				if len(u.cells) < 2 {
+				if len(u) < 2 {
 					continue
 				}
-				lead := cells[u.cells[0]]
+				lead := cells[u[0]]
 				var from *pipeline.WarmState
 				if g.warm != nil {
-					from = g.warm[u.cells[0]].state
+					from = g.warm[u[0]].state
 				}
-				cfgs := make([]config.Config, len(u.cells))
-				for k, i := range u.cells {
+				cfgs := make([]config.Config, len(u))
+				for k, i := range u {
 					cfgs[k] = cells[i].cfg
 				}
 				unit, err := pipeline.NewLockstep(cfgs, ims[lead.w.Name], from, nil)
@@ -94,7 +94,7 @@ func TestGroupedMatchesSolo(t *testing.T) {
 				}
 				carriers, forks := runLockstepUnit(t, unit, budget)
 				forked += forks
-				for k, i := range u.cells {
+				for k, i := range u {
 					members++
 					solo, err := simulateCell(i, lead.w, ims[lead.w.Name], cells[i].cfg, p, nil, from)
 					if err != nil {

@@ -11,6 +11,7 @@ import (
 	"retstack/internal/config"
 	"retstack/internal/core"
 	"retstack/internal/pipeline"
+	"retstack/internal/resultstore"
 	"retstack/internal/sweep"
 	"retstack/internal/workloads"
 )
@@ -197,7 +198,7 @@ func TestWarmPhaseHonorsCancellation(t *testing.T) {
 	defer cancel()
 	p.Ctx = ctx
 	p.Workloads = append(p.Workloads, "gcc") // go's and li's cells hit, gcc's miss
-	p.OnStoreHit = func(string, int, bool) { cancel() }
+	p.OnStoreHit = func(string, int, bool, resultstore.Provenance) { cancel() }
 	built := warmStatesBuilt.Load()
 	if _, err := Run("t3", p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -19,13 +19,12 @@
 // is safe because every record is self-contained — a dropped key is
 // re-simulated and re-appended on next use.
 //
-// Do layers in-process singleflight on top: N concurrent callers of the
-// same missing key collapse into one computation, with the other N-1
-// sharing the leader's result. Waiters honor their own context and never
-// inherit a leader's failure (they retry as the new leader instead) —
-// see Do. That is what keeps a server re-running hundreds of
-// near-identical campaign cells from simulating any of them twice,
-// without letting one canceled or crashed cell strand the rest.
+// Claim orders concurrent callers in-process: a caller holds a key until
+// it releases it, and every other caller of the key waits, under its own
+// context, meanwhile. A sweep holds one claim on its scope and experiment
+// around its lookups and simulations, so a concurrent identical sweep
+// waits, then finds every cell the holder stored: no cell is simulated
+// twice, and a holder that fails or is canceled just stores less.
 package resultstore
 
 import (
@@ -100,8 +99,8 @@ type entry struct {
 // Stats is a snapshot of the store's operation counters.
 type Stats struct {
 	// Hits and Misses count Get lookups by outcome; Puts counts appended
-	// records. Shared counts Do callers that joined another caller's
-	// in-flight computation instead of running their own.
+	// records. Shared counts Claim callers that waited for another
+	// caller's hold.
 	Hits   uint64
 	Misses uint64
 	Puts   uint64
@@ -122,32 +121,9 @@ type Observer struct {
 	// OnPut fires per appended record with wall-clock seconds (including
 	// the fsync).
 	OnPut func(seconds float64)
-	// OnShared fires when a Do caller shares an in-flight computation.
+	// OnShared fires when a Claim caller starts waiting for another
+	// caller's hold.
 	OnShared func()
-}
-
-// flight is one in-progress Do computation other callers can join.
-type flight struct {
-	done    chan struct{}
-	payload []byte
-	prov    Provenance
-	err     error
-}
-
-// flightShardCount sizes the singleflight shard table. Keys are sha256
-// hex (uniform), so a small power of two spreads concurrent sweep workers
-// across independent locks; 32 shards keep 16 workers essentially
-// collision-free without meaningful memory cost.
-const flightShardCount = 32
-
-// flightShard is one slice of the in-flight computation table, with its
-// own lock so concurrent Do callers on different keys never serialize on
-// a store-wide mutex. The pad keeps adjacent shards' mutexes off one
-// cache line.
-type flightShard struct {
-	mu sync.Mutex
-	m  map[string]*flight
-	_  [96]byte
 }
 
 // Store is an open result store. Safe for concurrent use.
@@ -166,33 +142,14 @@ type Store struct {
 	closed   bool
 	putFault func() error // deterministic I/O fault seam (see SetPutFault)
 
-	// afterMiss, when set, runs in Do between its index miss and taking
-	// the flight-shard lock: the gap a finishing leader can fall into. A
-	// test sets it while no Do can reach that point.
-	afterMiss func(key string)
-
-	flights [flightShardCount]flightShard
-}
-
-// flightShardFor maps key to its singleflight shard (FNV-1a; keys are
-// already uniform content hashes, but FNV keeps arbitrary test keys
-// spreading too).
-func (s *Store) flightShardFor(key string) *flightShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &s.flights[h%flightShardCount]
+	claimMu sync.Mutex
+	claims  map[string]chan struct{} // held keys; each channel closes on release
 }
 
 // Open opens (creating if needed) the store rooted at dir, loading every
 // segment's valid prefix into the in-memory index (see seglog.Open).
 func Open(dir string) (*Store, error) {
-	s := &Store{tool: "resultstore", index: map[string]entry{}}
-	for i := range s.flights {
-		s.flights[i].m = map[string]*flight{}
-	}
+	s := &Store{tool: "resultstore", index: map[string]entry{}, claims: map[string]chan struct{}{}}
 	log, err := seglog.Open(dir, func(payload []byte) {
 		if load(s.index, payload) {
 			s.recov++
@@ -267,7 +224,9 @@ func (s *Store) Stats() Stats {
 // Get returns the payload and provenance stored under key.
 func (s *Store) Get(key string) ([]byte, Provenance, bool) {
 	start := time.Now()
-	e, ok := s.lookup(key)
+	s.mu.Lock()
+	e, ok := s.index[key]
+	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -277,16 +236,6 @@ func (s *Store) Get(key string) ([]byte, Provenance, bool) {
 		s.obs.OnGet(ok, time.Since(start).Seconds())
 	}
 	return e.payload, e.prov, ok
-}
-
-// Prov returns the provenance stamp stored under key without counting a
-// lookup — for observers (rasserve's cell_cached events) that annotate a
-// hit the sweep already counted.
-func (s *Store) Prov(key string) (Provenance, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.index[key]
-	return e.prov, ok
 }
 
 // Put appends one record under key and fsyncs it. The store fills the
@@ -333,151 +282,40 @@ func (s *Store) Put(key string, payload []byte, prov Provenance) error {
 	return nil
 }
 
-// Outcome classifies how Do resolved a key.
-type Outcome uint8
-
-const (
-	// Computed: this caller led the computation and stored the result.
-	Computed Outcome = iota
-	// Hit: the key was already resident.
-	Hit
-	// SharedFlight: another caller was already computing the key; this
-	// caller waited and shares that result.
-	SharedFlight
-)
-
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case SharedFlight:
-		return "shared"
-	default:
-		return "computed"
-	}
-}
-
-// Do resolves key: from the index if resident, from another caller's
-// in-flight computation if one is running, else by invoking compute and
-// storing its result. Exactly one compute runs per key at a time — N
-// concurrent callers of the same missing key produce one computation.
-// A failed compute stores nothing.
-//
-// ctx bounds only the waiting, never the computing: a caller that joins
-// another caller's flight gives up with ctx.Err() when its own context
-// expires, so a hung or abandoned leader cannot strand it (compute is
-// expected to honor its own context). A leader failure — error or panic
-// — is not adopted by waiters either: each re-enters and the first
-// becomes the new leader with its own attempt, so one caller's
-// cancellation (a sweep cell watchdog firing, say) cannot poison every
-// concurrent caller of the key. The flight is unregistered and waiters
-// woken even when compute panics; the panic then resumes unwinding
-// toward the leader's own recovery machinery.
-//
-// Do assumes the caller already observed (and counted) a Get miss, so it
-// does not count another; a key that became resident in the meantime
-// counts as a hit.
-//
-// Flights live in a sharded table (key-hashed, per-shard locks) so
-// concurrent sweep workers resolving different keys never serialize on
-// one singleflight mutex. The first index check runs without the shard
-// lock, so a leader can store the key and end its flight before this
-// caller takes it; the index is therefore checked again under the shard
-// lock before a new flight is registered. A leader stores before it
-// unregisters, and unregistering takes the shard lock, so that second
-// check sees its record. Lock order is shard then index: no path takes
-// the index lock and then a shard lock.
-func (s *Store) Do(ctx context.Context, key string, compute func() ([]byte, Provenance, error)) ([]byte, Provenance, Outcome, error) {
-	sh := s.flightShardFor(key)
+// Claim makes the caller key's holder. While another caller holds key,
+// Claim waits for it, giving up with ctx.Err() when ctx ends first. It
+// returns release, which ends the hold and must be called once, and
+// whether it waited; a caller that waits counts once in Stats().Shared.
+// A claim orders callers and guards nothing else: Get and Put ignore it.
+func (s *Store) Claim(ctx context.Context, key string) (release func(), waited bool, err error) {
 	for {
-		if e, ok := s.lookup(key); ok {
-			return s.hit(e)
+		s.claimMu.Lock()
+		held, ok := s.claims[key]
+		if !ok {
+			done := make(chan struct{})
+			s.claims[key] = done
+			s.claimMu.Unlock()
+			return func() {
+				s.claimMu.Lock()
+				delete(s.claims, key)
+				s.claimMu.Unlock()
+				close(done)
+			}, waited, nil
 		}
-		if s.afterMiss != nil {
-			s.afterMiss(key)
-		}
-		sh.mu.Lock()
-		if f, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, Provenance{}, SharedFlight, ctx.Err()
-			}
-			if f.err != nil {
-				// The leader failed — possibly just its own cancellation.
-				// Retry (becoming the new leader) rather than adopt it.
-				if err := ctx.Err(); err != nil {
-					return nil, Provenance{}, SharedFlight, err
-				}
-				continue
-			}
+		s.claimMu.Unlock()
+		if !waited {
+			waited = true
 			s.shared.Add(1)
 			if s.obs.OnShared != nil {
 				s.obs.OnShared()
 			}
-			return f.payload, f.prov, SharedFlight, nil
 		}
-		if e, ok := s.lookup(key); ok {
-			sh.mu.Unlock()
-			return s.hit(e)
-		}
-		f := &flight{done: make(chan struct{})}
-		sh.m[key] = f
-		sh.mu.Unlock()
-		s.lead(key, f, compute)
-		return f.payload, f.prov, Computed, f.err
-	}
-}
-
-// lookup reads key's index entry without counting the lookup.
-func (s *Store) lookup(key string) (entry, bool) {
-	s.mu.Lock()
-	e, ok := s.index[key]
-	s.mu.Unlock()
-	return e, ok
-}
-
-// hit counts a Do that found its key resident and returns the entry.
-func (s *Store) hit(e entry) ([]byte, Provenance, Outcome, error) {
-	s.hits.Add(1)
-	if s.obs.OnGet != nil {
-		s.obs.OnGet(true, 0)
-	}
-	return e.payload, e.prov, Hit, nil
-}
-
-// lead runs compute as flight f's leader and persists a successful
-// result. The deferred cleanup runs on every exit path — including a
-// compute panic, an anticipated failure mode since the sweep engine's
-// panic recovery sits outside Do — so the flight is always unregistered
-// and waiters always wake instead of blocking on f.done forever.
-func (s *Store) lead(key string, f *flight, compute func() ([]byte, Provenance, error)) {
-	defer func() {
-		if r := recover(); r != nil {
-			f.err = fmt.Errorf("resultstore: compute for %s panicked: %v", key, r)
-			s.endFlight(key, f)
-			panic(r)
-		}
-		s.endFlight(key, f)
-	}()
-	f.payload, f.prov, f.err = compute()
-	if f.err == nil {
-		if err := s.Put(key, f.payload, f.prov); err != nil {
-			f.err = err
+		select {
+		case <-held:
+		case <-ctx.Done():
+			return nil, true, ctx.Err()
 		}
 	}
-}
-
-// endFlight unregisters the flight and wakes its waiters. The close
-// happens after the delete so a caller can never observe a closed flight
-// still registered.
-func (s *Store) endFlight(key string, f *flight) {
-	sh := s.flightShardFor(key)
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
-	close(f.done)
 }
 
 // Trim evicts oldest rotated segments until the store's total size fits

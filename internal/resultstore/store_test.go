@@ -206,241 +206,234 @@ func TestSegmentRotationAndTrim(t *testing.T) {
 	}
 }
 
-// TestDoSingleflight proves N concurrent Do calls for one missing key
-// collapse into a single computation (run under -race in CI).
-func TestDoSingleflight(t *testing.T) {
+// TestClaimExcludes proves a claim orders its callers (run under -race
+// in CI): of 16 concurrent callers of one key, one holds it at a time and
+// every caller gets it in turn; each caller that waited counts once as
+// Shared and fires OnShared once; another key is never held up by it.
+func TestClaimExcludes(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
-	key := CellKey("s", "t3", 0)
-	const n = 16
-	var computes atomic.Int64
-	var release sync.WaitGroup
-	release.Add(1)
-	outcomes := make([]Outcome, n)
-	payloads := make([][]byte, n)
-	var wg sync.WaitGroup
-	started := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started <- struct{}{}
-			payload, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-				computes.Add(1)
-				release.Wait() // hold the flight open until every caller is in
-				return []byte(`{"v":42}`), Provenance{}, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			outcomes[i], payloads[i] = outcome, payload
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	release.Done()
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("compute ran %d times, want 1", got)
-	}
-	leaders, sharers, hits := 0, 0, 0
-	for i, o := range outcomes {
-		if string(payloads[i]) != `{"v":42}` {
-			t.Fatalf("caller %d payload = %q", i, payloads[i])
-		}
-		switch o {
-		case Computed:
-			leaders++
-		case SharedFlight:
-			sharers++
-		case Hit:
-			hits++
-		}
-	}
-	if leaders != 1 {
-		t.Fatalf("%d leaders, want exactly 1 (sharers=%d hits=%d)", leaders, sharers, hits)
-	}
-	// Callers that raced in before the leader registered resolve as Hit
-	// after the Put; everyone else shared the flight.
-	if st := s.Stats(); st.Shared != uint64(sharers) {
-		t.Fatalf("Stats.Shared = %d, want %d", st.Shared, sharers)
-	}
-
-	// The key is now resident: another Do is a pure hit.
-	_, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		t.Fatal("compute ran for a resident key")
-		return nil, Provenance{}, nil
-	})
-	if err != nil || outcome != Hit {
-		t.Fatalf("Do on resident key = %v, %v; want Hit", outcome, err)
-	}
-}
-
-// TestDoRechecksIndexBeforeLeading forces the interleaving in which a
-// leader stores its result and ends its flight between another caller's
-// index miss and that caller's flight check. The second caller finds no
-// flight then, and must still take the stored record as a hit instead of
-// leading a duplicate computation.
-func TestDoRechecksIndexBeforeLeading(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
-	const key = "k"
-	var computes atomic.Int32
-	compute := func(gate <-chan struct{}) func() ([]byte, Provenance, error) {
-		return func() ([]byte, Provenance, error) {
-			computes.Add(1)
-			<-gate
-			return []byte(`"v"`), Provenance{}, nil
-		}
-	}
-
-	started, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		lead := compute(release)
-		_, _, out, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-			close(started)
-			return lead()
-		})
-		if err != nil || out != Computed {
-			t.Errorf("leader: %v, %v; want computed", out, err)
-		}
-	}()
-	<-started
-	// The leader is inside compute, past the hook. Stall the second caller
-	// right after its index miss until the leader has stored and
-	// unregistered its flight.
-	var once sync.Once
-	s.afterMiss = func(string) {
-		once.Do(func() {
-			close(release)
-			<-leaderDone
-		})
-	}
-	got, _, out, err := s.Do(context.Background(), key, compute(leaderDone))
+	var observed atomic.Int64
+	s.SetObserver(Observer{OnShared: func() { observed.Add(1) }})
+	const key, n = "sweep", 16
+	first, _, err := s.Claim(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != Hit || string(got) != `"v"` {
-		t.Errorf("second caller: %v with %q, want a hit on the leader's record", out, got)
+	var holders, holds, waits atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			release, waited, err := s.Claim(context.Background(), key)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if holders.Add(1) != 1 {
+				t.Error("two callers hold one key")
+			}
+			holds.Add(1)
+			if waited {
+				waits.Add(1)
+			}
+			time.Sleep(time.Millisecond)
+			holders.Add(-1)
+			release()
+		}()
 	}
-	if n, puts := computes.Load(), s.Stats().Puts; n != 1 || puts != 1 {
-		t.Errorf("%d computes and %d puts, want 1 each", n, puts)
+	// Another key is free while this one is held.
+	other, waited, err := s.Claim(context.Background(), "other")
+	if err != nil || waited {
+		t.Fatalf("claim of a free key = waited %v, %v", waited, err)
+	}
+	other()
+	for s.Stats().Shared < n { // every caller queues up behind the first hold
+		time.Sleep(time.Millisecond)
+	}
+	first()
+	wg.Wait()
+
+	if holds.Load() != n || waits.Load() != n {
+		t.Fatalf("%d of %d callers got the claim, %d after waiting", holds.Load(), n, waits.Load())
+	}
+	if st := s.Stats(); st.Shared != n || observed.Load() != n {
+		t.Fatalf("Stats.Shared = %d and OnShared fired %d times, want %d each (one per waiting caller)",
+			st.Shared, observed.Load(), n)
+	}
+	// Released, the key is free again.
+	release, waited, err := s.Claim(context.Background(), key)
+	if err != nil || waited {
+		t.Fatalf("claim after every release = waited %v, %v", waited, err)
+	}
+	release()
+}
+
+// TestClaimWaiterHonorsOwnContext: a caller waiting for a hung holder
+// gives up when its own context expires instead of inheriting the hang
+// (the sweep's bounded wait under the cell watchdog depends on this).
+func TestClaimWaiterHonorsOwnContext(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	release, _, err := s.Claim(context.Background(), "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, waited, err := s.Claim(ctx, "k"); err != context.DeadlineExceeded || !waited {
+		t.Fatalf("waiter = waited %v, %v; want its own DeadlineExceeded after waiting", waited, err)
 	}
 }
 
+// The three tests below keep the names they had under Store.Do, whose
+// per-cell flights the sweep claim replaced. Each checks the claim's form
+// of the same property: a holder that ends without storing anything (a
+// failed, panicking or abandoned sweep, which releases in a defer) passes
+// the key on, and the next caller runs its own attempt instead of adopting
+// the holder's failure.
+
+// TestDoComputeErrorStoresNothing: a sweep that fails before its Put
+// releases its claim having stored nothing: no record is left behind, and
+// the key is free at once for a fresh attempt, whose record reads back.
 func TestDoComputeErrorStoresNothing(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := CellKey("s", "t3", 0)
-	wantErr := fmt.Errorf("boom")
-	if _, _, _, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		return nil, Provenance{}, wantErr
-	}); err != wantErr {
-		t.Fatalf("Do error = %v, want %v", err, wantErr)
+	release, _, err := s.Claim(context.Background(), "sweep")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok := s.Get(key); ok {
-		t.Fatal("failed compute left a record behind")
+	release() // the sweep failed before storing its cell
+	if _, _, ok := s.Get(key); ok || s.Len() != 0 || s.Stats().Puts != 0 {
+		t.Fatalf("failed sweep left a record behind (len %d, %d puts)", s.Len(), s.Stats().Puts)
 	}
-	// The key stays computable after a failure.
-	if _, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		return []byte(`{"v":1}`), Provenance{}, nil
-	}); err != nil || outcome != Computed {
-		t.Fatalf("retry after failed compute = %v, %v", outcome, err)
+	// The key stays claimable after a failure, without waiting; the bound
+	// turns a leaked hold into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	release, waited, err := s.Claim(ctx, "sweep")
+	if err != nil || waited {
+		t.Fatalf("claim after a failed sweep = waited %v, %v; want it free at once", waited, err)
+	}
+	defer release()
+	if err := s.Put(key, []byte(`{"v":1}`), Provenance{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, ok := s.Get(key); !ok || string(got) != `{"v":1}` {
+		t.Fatalf("retry's record = %q, %v; want {\"v\":1}", got, ok)
 	}
 }
 
-// TestDoPanicUnregistersFlight: a panicking compute must still tear the
-// flight down — the panic recovery machinery (the sweep engine's
-// PanicError conversion) sits outside Do, so without the deferred
-// cleanup every later Do on the key would block forever on a flight
-// whose leader is gone.
+// TestDoPanicUnregistersFlight: a holder that panics while another caller
+// waits releases its claim in a defer; the panic reaches the holder's own
+// caller unchanged, the waiter gets the claim and finds no record, and the
+// key is claimable again afterwards without blocking (a leaked hold would
+// hang the next caller on a channel that never closes).
 func TestDoPanicUnregistersFlight(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := CellKey("s", "t3", 0)
-	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Fatalf("recovered %v, want the compute panic to reach the leader", r)
-			}
-		}()
-		s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-			panic("boom")
-		})
-		t.Fatal("Do returned instead of panicking")
+	holding := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		release, _, err := s.Claim(context.Background(), "sweep")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer release()
+		close(holding)
+		for s.Stats().Shared == 0 { // the second caller is waiting
+			time.Sleep(time.Millisecond)
+		}
+		panic("boom")
 	}()
-	// The key must be computable again — and without blocking: a leaked
-	// flight would hang this Do on a done channel that never closes.
+	<-holding
+	got := make(chan bool, 1)
+	go func() {
+		release, waited, err := s.Claim(context.Background(), "sweep")
+		if err != nil {
+			t.Error(err)
+			got <- false
+			return
+		}
+		defer release()
+		if !waited {
+			t.Error("the second caller did not wait for the holder")
+		}
+		_, _, ok := s.Get(key)
+		got <- ok
+	}()
+	select {
+	case ok := <-got:
+		if ok {
+			t.Fatal("a record appeared that no holder stored")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the claim was never passed on after the holder panicked")
+	}
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("holder recovered %v, want its own panic", r)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-			return []byte(`{"v":1}`), Provenance{}, nil
-		}); err != nil || outcome != Computed {
-			t.Errorf("Do after panic = %v, %v; want a fresh Computed", outcome, err)
+		release, waited, err := s.Claim(context.Background(), "sweep")
+		if err != nil || waited {
+			t.Errorf("claim after the panic = waited %v, %v; want it free at once", waited, err)
+			return
 		}
+		release()
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do after a panicked compute blocked: flight leaked")
+		t.Fatal("claim after a panicked holder blocked: the hold leaked")
 	}
 }
 
-// TestDoWaiterHonorsOwnContext: a waiter joined to a hung leader's
-// flight must give up when its own context expires instead of inheriting
-// the hang (the sweep's CellTimeout retry path depends on this).
-func TestDoWaiterHonorsOwnContext(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
-	key := CellKey("s", "t3", 0)
-	computing := make(chan struct{})
-	release := make(chan struct{})
-	go s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		close(computing)
-		<-release // the "hung" simulation
-		return []byte(`{"v":1}`), Provenance{}, nil
-	})
-	<-computing
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, _, _, err := s.Do(ctx, key, func() ([]byte, Provenance, error) {
-		t.Error("waiter ran compute while the leader's flight was open")
-		return nil, Provenance{}, nil
-	})
-	if err != context.DeadlineExceeded {
-		t.Fatalf("waiter error = %v, want its own DeadlineExceeded", err)
-	}
-	close(release)
-}
-
-// TestDoWaiterRetriesAfterLeaderFailure: a leader's failure (its own
-// cancellation, say) must not be adopted by waiters — the next caller
-// becomes a new leader and runs its own attempt.
+// TestDoWaiterRetriesAfterLeaderFailure: a caller waiting on a holder
+// whose sweep is abandoned (its watchdog fired, nothing stored) gets the
+// claim after waiting, finds no record, and stores and reads back its own.
 func TestDoWaiterRetriesAfterLeaderFailure(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := CellKey("s", "t3", 0)
-	computing := make(chan struct{})
-	release := make(chan struct{})
-	go s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		close(computing)
-		<-release
-		return nil, Provenance{}, context.Canceled // leader abandoned by its watchdog
-	})
-	<-computing
-	waited := make(chan struct{})
+	release, _, err := s.Claim(context.Background(), "sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
 	go func() {
-		defer close(waited)
-		payload, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-			return []byte(`{"v":2}`), Provenance{}, nil
-		})
-		if err != nil || outcome != Computed || string(payload) != `{"v":2}` {
-			t.Errorf("waiter after leader failure = %q, %v, %v; want its own Computed result", payload, outcome, err)
+		defer close(done)
+		release, waited, err := s.Claim(context.Background(), "sweep")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer release()
+		if !waited {
+			t.Error("the second caller did not wait for the holder")
+		}
+		if _, _, ok := s.Get(key); ok {
+			t.Error("a record appeared that no holder stored")
+			return
+		}
+		if err := s.Put(key, []byte(`{"v":2}`), Provenance{}); err != nil {
+			t.Error(err)
+			return
+		}
+		if got, _, ok := s.Get(key); !ok || string(got) != `{"v":2}` {
+			t.Errorf("waiter's own record = %q, %v; want {\"v\":2}", got, ok)
 		}
 	}()
-	close(release)
+	for s.Stats().Shared == 0 { // the second caller is waiting
+		time.Sleep(time.Millisecond)
+	}
+	release() // the holder's sweep was abandoned with nothing stored
 	select {
-	case <-waited:
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never re-led after the leader failed")
+		t.Fatal("the waiter never got the claim after the holder failed")
 	}
 }
 
@@ -534,32 +527,6 @@ func TestPutFaultIsIOError(t *testing.T) {
 		t.Errorf("put on closed store = %v, want ErrClosed", err)
 	} else if IsIO(err) {
 		t.Error("ErrClosed classified as I/O — shutdown would flip servers degraded")
-	}
-}
-
-// TestDoPutFaultStillReturnsComputedResult: a leader whose simulation
-// succeeded but whose Put hit an I/O fault surfaces the *IOError through
-// Do with the flight cleanly ended — the caller (experiments.storeCell)
-// recognizes IsIO and uses its own computed copy, so the distinction
-// must survive the singleflight plumbing.
-func TestDoPutFaultStillReturnsComputedResult(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
-	s.SetPutFault(func() error { return fmt.Errorf("no space left on device") })
-	key := CellKey("s", "t3", 0)
-	_, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		return []byte(`{"v":1}`), Provenance{}, nil
-	})
-	if !IsIO(err) || outcome != Computed {
-		t.Fatalf("Do under put fault = outcome %v err %v, want Computed with IOError", outcome, err)
-	}
-	// The failed flight must be unregistered: a retry with the fault
-	// cleared computes fresh and persists.
-	s.SetPutFault(nil)
-	payload, _, outcome, err := s.Do(context.Background(), key, func() ([]byte, Provenance, error) {
-		return []byte(`{"v":2}`), Provenance{}, nil
-	})
-	if err != nil || outcome != Computed || string(payload) != `{"v":2}` {
-		t.Fatalf("retry after fault = %s/%v/%v", payload, outcome, err)
 	}
 }
 

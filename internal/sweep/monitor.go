@@ -23,10 +23,9 @@ type Monitor interface {
 // started and finished, how long it spent running cells (Busy), how long
 // it spent between them, taking or waiting for work (Wait), and a record
 // of each cell it ended (Cells). Busy/Wait cover the span from the
-// worker's start to its last cell's completion; utilization over w
-// workers is sum(Busy) / (w × sweep wall clock). A sweep's WorkerStats
-// are its one cell record, read through Cells, Quantile, Median and
-// Stragglers.
+// worker's start to its last cell's completion. A sweep's WorkerStats
+// are its one cell record, read through Cells, Quantile, Median,
+// Stragglers and Utilization.
 type WorkerStats struct {
 	Worker   int
 	Started  int           // cells begun
@@ -188,6 +187,26 @@ func Stragglers(cells []CellTiming, factor float64) []CellTiming {
 	}
 	slices.SortStableFunc(out, func(a, b CellTiming) int { return cmp.Compare(b.Elapsed, a.Elapsed) })
 	return out
+}
+
+// Utilization returns how busy the workers that ended a cell kept over
+// wall: the sum of their Busy over (their count × wall). A worker that
+// ended no cell is left out: the scheduler starts one per pending cell up
+// to the worker limit, and a sweep of a few lockstep units leaves some of
+// them nothing to run. 0 with no such worker or no wall clock.
+func Utilization(ws []WorkerStats, wall time.Duration) float64 {
+	var busy time.Duration
+	n := 0
+	for _, w := range ws {
+		if len(w.Cells) > 0 {
+			busy += w.Busy
+			n++
+		}
+	}
+	if n == 0 || wall <= 0 {
+		return 0
+	}
+	return busy.Seconds() / (float64(n) * wall.Seconds())
 }
 
 // Progress prints a live one-line report to W as cells finish:

@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -228,6 +229,23 @@ func TestTimingQuantile(t *testing.T) {
 	}
 	if Quantile(nil, 0.99) != 0 || Median(nil) != 0 || Stragglers(nil, 3) != nil || Cells(nil) != nil {
 		t.Error("an empty record must read 0, never panic")
+	}
+}
+
+// TestUtilization: utilization counts only the workers that ended a
+// cell. Two workers busy 60 and 40 ms of a 100 ms sweep beside an idle
+// third are 50% busy, not 33%.
+func TestUtilization(t *testing.T) {
+	ws := []WorkerStats{
+		{Worker: 0, Busy: 60 * time.Millisecond, Cells: []CellTiming{{Cell: 0, Elapsed: 60 * time.Millisecond}}},
+		{Worker: 1, Wait: 100 * time.Millisecond},
+		{Worker: 2, Busy: 40 * time.Millisecond, Cells: []CellTiming{{Cell: 1, Worker: 2, Elapsed: 40 * time.Millisecond}}},
+	}
+	if got := Utilization(ws, 100*time.Millisecond); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("Utilization = %v, want 0.5", got)
+	}
+	if Utilization(ws[1:2], time.Second) != 0 || Utilization(ws, 0) != 0 || Utilization(nil, time.Second) != 0 {
+		t.Error("no worker that ended a cell, or no wall clock, must read 0")
 	}
 }
 

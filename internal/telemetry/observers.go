@@ -348,7 +348,7 @@ func NewStoreMetrics(reg *Registry) *StoreMetrics {
 		hits:   reg.Counter(MetricStoreHits, "result-store lookups answered from cache"),
 		misses: reg.Counter(MetricStoreMisses, "result-store lookups that required simulation"),
 		puts:   reg.Counter(MetricStorePuts, "cell results persisted to the store"),
-		shared: reg.Counter(MetricStoreShared, "callers that joined another caller's in-flight simulation"),
+		shared: reg.Counter(MetricStoreShared, "sweeps that waited for another sweep's claim on their scope and experiment"),
 		gets:   reg.Histogram(MetricStoreGetSeconds, "result-store lookup latency", lat),
 		putsH:  reg.Histogram(MetricStorePutSeconds, "result-store persist latency (includes fsync)", lat),
 	}
@@ -376,7 +376,7 @@ func (m *StoreMetrics) ObservePut(seconds float64) {
 	m.putsH.Observe(seconds)
 }
 
-// ObserveShared records one caller sharing an in-flight computation.
+// ObserveShared records one sweep that waited for another sweep's claim.
 func (m *StoreMetrics) ObserveShared() {
 	if m == nil {
 		return

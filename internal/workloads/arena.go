@@ -79,69 +79,11 @@ func (a *Arena) Freeze() {
 	a.frozen.Store(&snap)
 }
 
-// Len returns the number of images the arena holds (testing/telemetry).
-func (a *Arena) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.built)
-}
-
-// Worker derives a single-owner view of the arena for one sweep worker:
-// reads of frozen images touch only the immutable snapshot, and anything
-// the worker has to build beyond it lands in a private overlay — no locks,
-// no atomics, no shared mutable state of any kind. The returned WorkerArena
-// must be used by one goroutine at a time (the sweep engine guarantees a
-// worker runs its cells strictly sequentially, which is the intended
-// owner).
-func (a *Arena) Worker() *WorkerArena {
-	var base map[string]*program.Image
-	if m := a.frozen.Load(); m != nil {
-		base = *m
-	}
-	return &WorkerArena{base: base}
-}
-
-// WorkerArena is one worker's private build cache over a frozen Arena
-// snapshot. Not safe for concurrent use — that is the point: a per-worker
-// arena shares nothing mutable with its siblings.
-type WorkerArena struct {
-	base map[string]*program.Image // frozen shared snapshot (read-only, may be nil)
-	own  map[string]*program.Image // this worker's private builds
-}
-
-// Build assembles the workload at the given scale, consulting the frozen
-// snapshot first (no allocation, no synchronization) and the private
-// overlay second. A build the pre-warm phase missed is assembled locally
-// and stays local: two workers that both miss duplicate the work rather
-// than coordinate, trading a rare redundant assembly for a hot path with
-// zero cross-worker traffic.
-func (wa *WorkerArena) Build(w Workload, scale int) (*program.Image, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("workloads: %s: scale must be positive", w.Name)
-	}
-	src := w.Source(scale)
-	if im, ok := wa.base[src]; ok {
-		return im, nil
-	}
-	if im, ok := wa.own[src]; ok {
-		return im, nil
-	}
-	im, err := asm.Assemble(src)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", w.Name, err)
-	}
-	if wa.own == nil {
-		wa.own = map[string]*program.Image{}
-	}
-	wa.own[src] = im
-	return im, nil
-}
-
 // defaultArena memoizes builds for the package-level convenience API
 // (Workload.Build): retstack.Run-in-a-loop callers, examples, and
-// benchmarks reuse images across runs without managing an arena. Sweeps
-// never touch it — the experiment harness pre-warms its own arena and
-// freezes it before workers start.
+// benchmarks reuse images across runs without managing an arena. The
+// experiment harness builds every sweep's images through it too, then
+// freezes it before workers start (see SharedArena).
 var defaultArena = NewArena()
 
 // SharedArena returns the process-default arena behind Workload.Build.

@@ -47,50 +47,11 @@ func TestArenaFrozenBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestWorkerArenaBuildAllocs pins the per-worker view the same way: a
-// frozen-snapshot hit must not allocate, and a miss must land in the
-// worker's private overlay, never in the shared arena.
-func TestWorkerArenaBuildAllocs(t *testing.T) {
-	w := pinnedWorkload(t)
-	a := NewArena()
-	want, err := a.Build(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Freeze()
-	wa := a.Worker()
-
-	allocs := testing.AllocsPerRun(100, func() {
-		im, err := wa.Build(w, 2)
-		if err != nil || im != want {
-			t.Fatalf("worker Build = %p, %v; want the frozen image %p", im, err, want)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm WorkerArena.Build allocated %.1f objects/op, want 0", allocs)
-	}
-
-	// A build the pre-warm missed stays in the worker's overlay.
-	base, _ := ByName("micro.branchy")
-	missSrc := base.Source(1)
-	miss := Workload{Name: "miss", Source: func(int) string { return missSrc }}
-	first, err := wa.Build(miss, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := wa.Build(miss, 1); again != first {
-		t.Error("worker overlay did not memoize its private build")
-	}
-	if n := a.Len(); n != 1 {
-		t.Errorf("shared arena holds %d images after a worker-local miss, want 1", n)
-	}
-}
-
 // TestFrozenArenaConcurrentReads hammers the pre-warmed image path from 16
 // goroutines under the race detector: every reader must get the same
-// immutable image through both the shared frozen snapshot and per-worker
-// views, while touching the predecode plane the way sweep cells do. Any
-// cross-goroutine write on this path is a test failure via -race.
+// immutable image through the shared frozen snapshot, while touching the
+// predecode plane the way sweep cells do. Any cross-goroutine write on
+// this path is a test failure via -race.
 func TestFrozenArenaConcurrentReads(t *testing.T) {
 	w := pinnedWorkload(t)
 	a := NewArena()
@@ -111,15 +72,9 @@ func TestFrozenArenaConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wa := a.Worker()
 			for i := 0; i < iters; i++ {
 				im, err := a.Build(w, 2)
 				if err != nil || im != want {
-					errs <- err
-					return
-				}
-				wim, err := wa.Build(w, 2)
-				if err != nil || wim != want {
 					errs <- err
 					return
 				}
