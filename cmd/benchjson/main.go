@@ -25,8 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"retstack/internal/experiments"
 )
 
 // Report is the BENCH_*.json schema.
@@ -59,21 +57,8 @@ func main() {
 		nsGate     = flag.Bool("ns-gate", false, "also gate ns/op against the baseline (opt-in: wall clock is noisy on shared runners)")
 		nsSlack    = flag.Float64("ns-slack", 3.0, "relative ns/op headroom allowed over the baseline (ns-gate mode; 3.0 allows 4x)")
 		spdSlack   = flag.Float64("speedup-slack", 0.5, "relative speedup shortfall allowed under the baseline (baseline mode; 0.5 tolerates a 1/1.5x drop)")
-
-		validateScaling = flag.String("validate-scaling", "", "validate a rasbench -scale-out report (schema + determinism) instead of parsing stdin")
-		minSpeedup      = flag.Float64("min-speedup", 0, "with -validate-scaling: minimum speedup the curve must reach at -min-speedup-at (skipped with a note when the report's machine has fewer procs)")
-		minSpeedupAt    = flag.Int("min-speedup-at", 4, "parallelism level the -min-speedup gate reads")
 	)
 	flag.Parse()
-
-	if *validateScaling != "" {
-		if err := validateScalingFile(*validateScaling, *minSpeedup, *minSpeedupAt); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchjson: %s ok\n", *validateScaling)
-		return
-	}
 
 	if *validate != "" {
 		if err := validateFile(*validate, *require); err != nil {
@@ -334,59 +319,6 @@ func CompareSpeedup(cur, base *Report, slack float64) (regressions []string, che
 		}
 	}
 	return regressions, checked, skipped
-}
-
-// validateScalingFile checks a rasbench -scale-out report: the schema is
-// sane (a target, at least one level, positive measurements), every level
-// produced byte-identical results, and — when minSpeedup > 0 — the curve
-// reaches that speedup at parallelism level `at`. The speedup gate only
-// means something on a machine that actually has `at` cores: on a smaller
-// machine it is skipped with an explicit note (never silently passed as
-// if it ran, never failed for hardware the runner doesn't have).
-func validateScalingFile(path string, minSpeedup float64, at int) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep experiments.ScalingReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if rep.Target == "" {
-		return fmt.Errorf("%s: no target experiment", path)
-	}
-	if rep.Procs < 1 {
-		return fmt.Errorf("%s: procs %d out of range", path, rep.Procs)
-	}
-	if len(rep.Levels) == 0 {
-		return fmt.Errorf("%s: no levels measured", path)
-	}
-	for _, lv := range rep.Levels {
-		if lv.Parallel < 1 || lv.Cells <= 0 || lv.WallMS <= 0 || lv.Fingerprint == "" {
-			return fmt.Errorf("%s: malformed level %+v", path, lv)
-		}
-	}
-	if !rep.Identical {
-		return fmt.Errorf("%s: determinism violation: levels produced different results", path)
-	}
-	if minSpeedup > 0 {
-		switch {
-		case rep.Procs == 1:
-			fmt.Printf("benchjson: skipped: single-core: speedup gate at -parallel %d needs %d procs, report measured on 1\n", at, at)
-		case rep.Procs < at:
-			fmt.Printf("benchjson: skipped: speedup gate at -parallel %d needs %d procs, report measured on %d\n", at, at, rep.Procs)
-		default:
-			got := rep.SpeedupAt(at)
-			if got == 0 {
-				return fmt.Errorf("%s: no level at -parallel %d for the speedup gate", path, at)
-			}
-			if got < minSpeedup {
-				return fmt.Errorf("%s: speedup %.2fx at -parallel %d below required %.2fx", path, got, at, minSpeedup)
-			}
-			fmt.Printf("benchjson: speedup %.2fx at -parallel %d (required %.2fx)\n", got, at, minSpeedup)
-		}
-	}
-	return nil
 }
 
 // validateFile checks that a committed report parses, is non-empty, has

@@ -42,7 +42,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,7 +51,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -107,10 +106,6 @@ func main() {
 
 		onCellError = flag.String("on-cell-error", "abort", "failed-cell policy: abort | skip (hole the cell, keep sweeping)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell watchdog: abandon a cell producing no result within this duration (0 = off)")
-		scale       = flag.Bool("scale", false, "run the scalability family (p1-p3): sweep -parallel across -scale-levels, report throughput/utilization/determinism")
-		scaleOut    = flag.String("scale-out", "", "write the machine-readable scaling report (BENCH_scaling.json) to this file")
-		scaleLevels = flag.String("scale-levels", "", "comma-separated parallelism levels for -scale (default: 1..GOMAXPROCS)")
-		scaleTarget = flag.String("scale-target", experiments.ScalingTarget, "experiment the scaling family sweeps")
 
 		storePath     = flag.String("store", "", "content-addressed result store directory: cells already cached splice in without simulating, misses are persisted for the next run")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "after the run, evict oldest store segments until the store fits this many bytes (0 = never evict)")
@@ -131,47 +126,42 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rasbench: -parallel 0: running %d workers (GOMAXPROCS)\n", *parallel)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rasbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush unreachable objects so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rasbench:", err)
-			}
-		}()
-	}
-
-	if *list || (*exp == "" && !*scale) {
+	if *list || *exp == "" {
 		fmt.Println("reproducible artifacts:")
 		for _, id := range retstack.ExperimentIDs() {
 			title, _ := retstack.ExperimentTitle(id)
 			fmt.Printf("  %-3s %s\n", id, title)
 		}
-		fmt.Println("scalability (timing-dependent; excluded from 'all' and the store):")
-		for _, id := range experiments.ScalingIDs() {
-			title, _ := experiments.ScalingTitle(id)
-			fmt.Printf("  %-3s %s\n", id, title)
-		}
 		if *exp == "" && !*list {
-			fmt.Println("\nuse -exp <id>, -exp all, or -scale")
+			fmt.Println("\nuse -exp <id> or -exp all")
 		}
 		return
+	}
+
+	// The profiles are sinks like the telemetry below, so a failed or
+	// interrupted run still leaves files pprof can read.
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		sinks.Register("cpu profile", func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		})
+	}
+	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			fatal(err)
+		}
+		sinks.Register("heap profile", func() error {
+			runtime.GC() // flush unreachable objects so the profile shows live heap
+			return errors.Join(pprof.WriteHeapProfile(f), f.Close())
+		})
 	}
 
 	// SIGINT/SIGTERM cancel this context; the sweep engine drains in-flight
@@ -190,29 +180,6 @@ func main() {
 	}
 	if *storePath != "" && plan != nil {
 		fatal(fmt.Errorf("-store cannot be combined with -inject: injected cells would poison the cache"))
-	}
-
-	// The scalability family (-scale, or -exp p1/p2/p3) measures wall
-	// clock, so it dispatches outside the deterministic experiment
-	// machinery: no result store, no fault injection — spliced or faulted
-	// cells would turn the measurement into fiction.
-	var scaleIDs []string
-	switch {
-	case *scale:
-		scaleIDs = experiments.ScalingIDs()
-	case experiments.IsScalingID(*exp):
-		scaleIDs = []string{*exp}
-	}
-	if len(scaleIDs) > 0 {
-		if plan != nil || *storePath != "" {
-			fatal(fmt.Errorf("the scaling family measures wall clock; it cannot combine with -inject or -store"))
-		}
-		p := experiments.Params{InstBudget: *insts, Warmup: *warmup, Ctx: ctx}
-		if *bench != "" {
-			p.Workloads = strings.Split(*bench, ",")
-		}
-		runScale(ctx, scaleIDs, *scaleTarget, *scaleLevels, *scaleOut, *format, p)
-		return
 	}
 
 	// Telemetry sinks: all nil (and therefore free) unless requested.
@@ -384,9 +351,6 @@ func main() {
 					publishTrace(am, man, *traceOut, *traceBuf, agg)
 				}
 				flushAll()
-				if *cpuprofile != "" {
-					pprof.StopCPUProfile()
-				}
 				fmt.Fprintln(os.Stderr, "rasbench: interrupted")
 				if store != nil {
 					fmt.Fprintf(os.Stderr, "rasbench: completed cells are in the store; rerun with -store %s to continue\n", store.Dir())
@@ -514,7 +478,7 @@ func experimentRecord(id string, elapsed time.Duration, cells []sweep.CellTiming
 
 // reportSweep prints the post-sweep utilization/straggler summary that
 // -progress promises: how busy the pool stayed (sweep.Utilization) and
-// which cells gated the wall clock, in milliseconds as p2 prints them.
+// which cells gated the wall clock, in milliseconds.
 func reportSweep(w io.Writer, id string, wall time.Duration, ws []sweep.WorkerStats) {
 	cells := sweep.Cells(ws)
 	if len(cells) == 0 {
@@ -555,81 +519,6 @@ func printCSV(w io.Writer, res *experiments.Result) error {
 		fmt.Fprintf(w, "%s,%s,%s,%s,%g\n", res.ID, parts[0], parts[1], parts[2], res.Values[k])
 	}
 	return nil
-}
-
-// parseLevels parses the -scale-levels spec ("1,2,4") into parallelism
-// levels; empty selects the default 1..GOMAXPROCS curve.
-func parseLevels(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var levels []int
-	for _, part := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-scale-levels %q: levels must be positive integers", spec)
-		}
-		levels = append(levels, n)
-	}
-	return levels, nil
-}
-
-// runScale measures the scalability curve once and renders every
-// requested p-family view of it, optionally persisting the machine-
-// readable report (the BENCH_scaling.json benchjson -validate-scaling
-// checks).
-func runScale(ctx context.Context, ids []string, target, levelsSpec, outPath, format string, p experiments.Params) {
-	levels, err := parseLevels(levelsSpec)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "rasbench: scaling %s across %d level(s), GOMAXPROCS=%d\n",
-		target, len(effectiveLevels(levels)), runtime.GOMAXPROCS(0))
-	rep, err := experiments.MeasureScaling(p, target, levels)
-	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "rasbench: interrupted")
-			os.Exit(130)
-		}
-		fatal(err)
-	}
-	for _, id := range ids {
-		res, err := experiments.RenderScaling(id, rep)
-		if err != nil {
-			fatal(err)
-		}
-		switch format {
-		case "csv":
-			if err := printCSV(os.Stdout, res); err != nil {
-				fatal(err)
-			}
-		default:
-			fmt.Print(res)
-			fmt.Println()
-		}
-	}
-	if !rep.Identical {
-		fatal(fmt.Errorf("determinism violation: results differ across parallelism levels (see p3)"))
-	}
-	if outPath != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rasbench: wrote scaling report to %s\n", outPath)
-	}
-}
-
-// effectiveLevels resolves an empty -scale-levels to the default curve
-// for the stderr banner.
-func effectiveLevels(levels []int) []int {
-	if len(levels) > 0 {
-		return levels
-	}
-	return experiments.DefaultScalingLevels()
 }
 
 // fatal reports the error, flushes whatever sinks the run opened before it

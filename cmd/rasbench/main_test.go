@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -279,18 +281,51 @@ func TestArtifactsReconcile(t *testing.T) {
 	}
 }
 
-// TestRetiredRetryInputsFail: the retired retry policy, its flags and the
-// fault-plan forms that existed for it are refused with a non-zero exit.
+// TestRetiredRetryInputsFail: retired inputs are refused with a non-zero
+// exit: the retry policy, its flags and the fault-plan forms that existed
+// for it, and the scalability family's flags and experiment ids.
 func TestRetiredRetryInputsFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	for _, args := range [][]string{
-		{"-on-cell-error", "retry"}, {"-retries", "3"}, {"-retry-backoff", "10ms"},
-		{"-inject", "transient:3"}, {"-inject", "panic:3x2"},
+		{"-on-cell-error", "retry", "-exp", "t1"}, {"-retries", "3", "-exp", "t1"},
+		{"-retry-backoff", "10ms", "-exp", "t1"},
+		{"-inject", "transient:3", "-exp", "t1"}, {"-inject", "panic:3x2", "-exp", "t1"},
+		{"-scale"}, {"-scale-out", "s.json", "-exp", "t1"},
+		{"-scale-levels", "1,2", "-exp", "t1"}, {"-scale-target", "t3", "-exp", "t1"},
+		{"-exp", "p1"},
 	} {
-		if out, err := rasbench(t, append(args, "-exp", "t1")...).CombinedOutput(); err == nil {
+		if out, err := rasbench(t, args...).CombinedOutput(); err == nil {
 			t.Errorf("rasbench %v succeeded:\n%s", args, out)
+		}
+	}
+}
+
+// TestFailedRunKeepsProfiles: a run that fails still leaves both
+// profiles behind as non-empty gzip streams, the form pprof reads.
+func TestFailedRunKeepsProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	out, err := rasbench(t, "-exp", "t3", "-insts", "2000", "-bench", "go,li",
+		"-cpuprofile", cpu, "-memprofile", mem, "-inject", "panic:3").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("run with an injected panic: %v, want exit 1:\n%s", err, out)
+	}
+	for _, f := range []string{cpu, mem} {
+		raw, err := os.ReadFile(f)
+		var body []byte
+		if err == nil {
+			var zr *gzip.Reader
+			if zr, err = gzip.NewReader(bytes.NewReader(raw)); err == nil {
+				body, err = io.ReadAll(zr)
+			}
+		}
+		if err != nil || len(body) == 0 {
+			t.Errorf("%s: %d bytes, not a non-empty gzip stream: %v", filepath.Base(f), len(raw), err)
 		}
 	}
 }

@@ -68,8 +68,9 @@ type Sample struct {
 }
 
 // SetSampler installs fn to run every `every` cycles (every < 1 selects
-// DefaultSampleEvery); nil removes the sampler. The function is called
-// inline from the simulation loop and must not mutate simulator state.
+// DefaultSampleEvery), and once more when a Run ends between sample
+// points; nil removes the sampler. The function is called inline from the
+// simulation loop and must not mutate simulator state.
 func (s *Sim) SetSampler(every uint64, fn func(Sample)) {
 	if every < 1 {
 		every = DefaultSampleEvery

@@ -8,10 +8,11 @@ import (
 	"retstack/internal/core"
 )
 
-// TestSamplerSeesDynamics runs recursive fib with a fine sampling interval
-// and checks the snapshots are coherent: cycles advance by the interval,
-// occupancies stay within their structural bounds, RAS depth moves, and
-// the squash/recovery deltas reconcile with the cumulative counters.
+// TestSamplerSeesDynamics runs recursive fib to its exit with a fine
+// sampling interval and checks the snapshots are coherent: cycles advance
+// by the interval up to the run's final sample, occupancies stay within
+// their structural bounds, RAS depth moves, and the deltas sum to the
+// run's totals, the cycles after the last sample point included.
 func TestSamplerSeesDynamics(t *testing.T) {
 	im := mustAssemble(t, fibProgram)
 	cfg := config.Baseline().WithPolicy(core.RepairTOSPointerAndContents)
@@ -31,9 +32,10 @@ func TestSamplerSeesDynamics(t *testing.T) {
 		t.Fatalf("only %d samples for a %d-cycle run", len(samples), s.stats.Cycles)
 	}
 	maxDepth := 0
-	var sumSquash, sumRecover uint64
+	var sumSquash, sumRecover, sumPD, sumBlk uint64
 	for i, sm := range samples {
-		if sm.Cycle%every != 0 {
+		final := i == len(samples)-1
+		if sm.Cycle%every != 0 && !final {
 			t.Fatalf("sample %d at cycle %d, not a multiple of %d", i, sm.Cycle, every)
 		}
 		if sm.RUUOccupancy < 0 || sm.RUUOccupancy > cfg.RUUSize {
@@ -45,7 +47,8 @@ func TestSamplerSeesDynamics(t *testing.T) {
 		if sm.RASDepth < 0 || sm.RASDepth > cfg.RASEntries {
 			t.Fatalf("RAS depth %d outside [0,%d]", sm.RASDepth, cfg.RASEntries)
 		}
-		if sm.LivePaths < 1 {
+		// The final sample follows the program's exit, when no path is live.
+		if sm.LivePaths < 1 && !(final && s.Done()) {
 			t.Fatalf("sample %d reports %d live paths", i, sm.LivePaths)
 		}
 		if sm.RASDepth > maxDepth {
@@ -53,6 +56,8 @@ func TestSamplerSeesDynamics(t *testing.T) {
 		}
 		sumSquash += sm.NewSquashed
 		sumRecover += sm.NewRecoveries
+		sumPD += sm.NewPredecodeHits
+		sumBlk += sm.NewBlockHits
 		if i > 0 && sm.Committed < samples[i-1].Committed {
 			t.Fatalf("committed went backwards at sample %d", i)
 		}
@@ -60,12 +65,13 @@ func TestSamplerSeesDynamics(t *testing.T) {
 	if maxDepth == 0 {
 		t.Error("recursive fib never showed RAS depth > 0")
 	}
-	last := samples[len(samples)-1]
-	if sumSquash != last.Squashed || sumRecover != last.Recoveries {
-		t.Errorf("deltas do not reconcile: squash %d vs %d, recover %d vs %d",
-			sumSquash, last.Squashed, sumRecover, last.Recoveries)
+	st := s.Stats()
+	if sumSquash != st.Squashed || sumRecover != st.Recoveries ||
+		sumPD != st.PredecodeHits || sumBlk != st.BlockHits {
+		t.Errorf("deltas do not sum to the run's totals: squash %d vs %d, recover %d vs %d, predecode hits %d vs %d, block hits %d vs %d",
+			sumSquash, st.Squashed, sumRecover, st.Recoveries, sumPD, st.PredecodeHits, sumBlk, st.BlockHits)
 	}
-	if last.Squashed == 0 {
+	if st.Squashed == 0 {
 		t.Error("expected some wrong-path squashes on fib")
 	}
 }

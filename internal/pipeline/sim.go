@@ -355,6 +355,7 @@ func (s *Sim) Run(maxInsts uint64) error {
 // further call as if it had never stopped.
 func run(s *Sim, maxInsts uint64) (forked bool, _ error) {
 	s.maxInsts = maxInsts
+	startCycles := s.stats.Cycles
 	// Hard backstop so a misconfigured machine cannot loop forever: no
 	// real workload commits fewer than one instruction per 10k cycles.
 	deadCycles := uint64(0)
@@ -385,6 +386,11 @@ func run(s *Sim, maxInsts uint64) (forked bool, _ error) {
 	s.foldLiveStackStats()
 	s.foldPredecodeStats()
 	s.foldBlockStats()
+	// A final sample carries the cycles since the last sample point, so
+	// the sampled deltas sum to the run's totals.
+	if s.sampler != nil && s.stats.Cycles != startCycles && s.cycle%s.sampleEvery != 0 {
+		s.takeSample()
+	}
 	return false, nil
 }
 

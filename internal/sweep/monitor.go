@@ -24,8 +24,8 @@ type Monitor interface {
 // it spent between them, taking or waiting for work (Wait), and a record
 // of each cell it ended (Cells). Busy/Wait cover the span from the
 // worker's start to its last cell's completion. A sweep's WorkerStats
-// are its one cell record, read through Cells, Quantile, Median,
-// Stragglers and Utilization.
+// are its one cell record, read through Cells, Median, Stragglers and
+// Utilization.
 type WorkerStats struct {
 	Worker   int
 	Started  int           // cells begun
@@ -140,34 +140,17 @@ func Cells(ws []WorkerStats) []CellTiming {
 	return out
 }
 
-// durations returns the cells' durations, sorted ascending.
-func durations(cells []CellTiming) []time.Duration {
+// Median returns the median cell duration, the upper middle one of an
+// even count (0 with no cells).
+func Median(cells []CellTiming) time.Duration {
+	if len(cells) == 0 {
+		return 0
+	}
 	ds := make([]time.Duration, len(cells))
 	for i, c := range cells {
 		ds[i] = c.Elapsed
 	}
 	slices.Sort(ds)
-	return ds
-}
-
-// Quantile returns the q-th quantile of the cells' durations (q clamped
-// to [0,1], nearest rank; 0 with no cells). The scalability harness reads
-// its p50/p95/p99 per-cell latency here.
-func Quantile(cells []CellTiming, q float64) time.Duration {
-	ds := durations(cells)
-	if len(ds) == 0 {
-		return 0
-	}
-	return ds[int(max(0, min(q, 1))*float64(len(ds)-1))]
-}
-
-// Median returns the median cell duration, the upper middle one of an
-// even count (0 with no cells).
-func Median(cells []CellTiming) time.Duration {
-	ds := durations(cells)
-	if len(ds) == 0 {
-		return 0
-	}
 	return ds[len(ds)/2]
 }
 

@@ -197,22 +197,22 @@ func NewPipelineMetrics(reg *Registry) *PipelineMetrics {
 		livePaths: reg.Histogram(MetricLivePaths, "sampled live fetch/execution paths",
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16}),
 		checkpoints: reg.Histogram(MetricCheckpoints, "sampled in-flight RAS checkpoints", occ),
-		squashes:    reg.Counter(MetricSquashes, "RUU entries squashed (sampled deltas)"),
-		recoveries:  reg.Counter(MetricRecoveries, "branch-misprediction recoveries (sampled deltas)"),
+		squashes:    reg.Counter(MetricSquashes, "RUU entries squashed (sample deltas, summing to run totals)"),
+		recoveries:  reg.Counter(MetricRecoveries, "branch-misprediction recoveries (sample deltas, summing to run totals)"),
 		pdHits: reg.Counter(MetricPredecodeHits,
-			"fetches served from the predecoded instruction plane (sampled deltas)"),
+			"fetches served from the predecoded instruction plane (sample deltas, summing to run totals)"),
 		pdFallbacks: reg.Counter(MetricPredecodeFallbacks,
-			"fetches decoded from memory instead of the plane (sampled deltas)"),
+			"fetches decoded from memory instead of the plane (sample deltas, summing to run totals)"),
 		ovSpills: reg.Counter(MetricOverlaySpills,
-			"wrong-path overlay inline-slot overflows into the spill table (sampled deltas)"),
+			"wrong-path overlay inline-slot overflows into the spill table (sample deltas, summing to run totals)"),
 		ovReuses: reg.Counter(MetricOverlayReuses,
-			"wrong-path overlays served from the pool instead of allocated (sampled deltas)"),
+			"wrong-path overlays served from the pool instead of allocated (sample deltas, summing to run totals)"),
 		blkHits: reg.Counter(MetricBlockHits,
-			"basic-block dispatches served from the plane's block table (sampled deltas)"),
+			"basic-block dispatches served from the plane's block table (sample deltas, summing to run totals)"),
 		blkBuilds: reg.Counter(MetricBlockBuilds,
-			"basic-block descriptor builds (first entries per machine, sampled deltas)"),
+			"basic-block descriptor builds (first entries per machine; sample deltas, summing to run totals)"),
 		blkInvals: reg.Counter(MetricBlockInvalidations,
-			"code-region invalidations gating block and predecode dispatch (sampled deltas)"),
+			"code-region invalidations gating block and predecode dispatch (sample deltas, summing to run totals)"),
 	}
 }
 
