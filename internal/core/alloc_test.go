@@ -28,29 +28,31 @@ func TestSaveRestoreZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSaveRestoreZeroAllocRecycled checks the recycling path the pipeline
-// uses: a buffer taken from a released checkpoint and given to a fresh one
-// satisfies SaveInto without allocating.
+// TestSaveRestoreZeroAllocRecycled checks the reuse the pipeline's
+// checkpoint table relies on: an entry re-saved in place after Invalidate,
+// its buffer carved from an arena by MoveBuffer as a copied machine's
+// table holds it, satisfies SaveInto without allocating and keeps that
+// buffer.
 func TestSaveRestoreZeroAllocRecycled(t *testing.T) {
 	s := NewStack(32, RepairFullStack)
-	var warm Checkpoint
-	s.SaveInto(&warm)
-	buf := warm.TakeBuffer()
-	if buf == nil {
-		t.Fatal("full-stack checkpoint had no buffer to take")
-	}
-	if warm.Valid() {
-		t.Error("TakeBuffer must invalidate the checkpoint")
+	var cp Checkpoint
+	s.SaveInto(&cp)
+	arena := cp.MoveBuffer(make([]uint32, 0, len(cp.Buffer())))
+	if &cp.Buffer()[0] != &arena[0] {
+		t.Fatal("MoveBuffer did not give the checkpoint the arena's copy")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		var cp Checkpoint
-		cp.GiveBuffer(buf)
+		cp.Invalidate()
+		s.Push(0xdead)
 		s.SaveInto(&cp)
+		s.Pop()
 		s.Restore(&cp)
-		buf = cp.TakeBuffer()
 	})
 	if allocs != 0 {
-		t.Errorf("recycled checkpoint: %.1f allocs per cycle, want 0", allocs)
+		t.Errorf("re-saved checkpoint: %.1f allocs per cycle, want 0", allocs)
+	}
+	if &cp.Buffer()[0] != &arena[0] {
+		t.Error("SaveInto replaced the checkpoint's buffer")
 	}
 }
 

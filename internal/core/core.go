@@ -90,25 +90,6 @@ func (c Checkpoint) Valid() bool { return c.valid }
 // next SaveInto into it allocates nothing.
 func (c *Checkpoint) Invalidate() { c.valid = false }
 
-// TakeBuffer invalidates c and detaches its full-stack backing buffer (nil
-// if the checkpoint never held one), letting the caller recycle the buffer
-// into another checkpoint via GiveBuffer. After TakeBuffer the checkpoint
-// retains no reference to the stack copy.
-func (c *Checkpoint) TakeBuffer() []uint32 {
-	c.valid = false
-	b := c.full
-	c.full = nil
-	return b
-}
-
-// GiveBuffer donates a recycled backing buffer for a future full-stack
-// SaveInto. A buffer no larger than the one c already holds is discarded.
-func (c *Checkpoint) GiveBuffer(b []uint32) {
-	if cap(b) > cap(c.full) {
-		c.full = b[:0]
-	}
-}
-
 // Stack is the circular return-address stack. Pushing onto a full stack
 // wraps and overwrites the oldest entry (overflow); popping an empty stack
 // returns whatever the pointer designates (underflow), as in the Alpha

@@ -21,7 +21,7 @@ import "retstack/internal/isa"
 // no tombstones). The table is retained across Reset, which makes a pooled
 // Overlay allocation-free in steady state.
 type Overlay struct {
-	base     State
+	base     *Machine
 	regDirty uint32 // bitmap over the 32 architectural registers
 	regs     [isa.NumRegs]uint32
 
@@ -62,12 +62,12 @@ var maskExpand = [16]uint32{
 }
 
 // NewOverlay returns an empty flat overlay on base.
-func NewOverlay(base State) *Overlay {
+func NewOverlay(base *Machine) *Overlay {
 	return &Overlay{base: base}
 }
 
-// Base returns the State this overlay falls through to.
-func (o *Overlay) Base() State { return o.base }
+// Base returns the machine this overlay falls through to.
+func (o *Overlay) Base() *Machine { return o.base }
 
 // SetSpillCounter points the overlay at a counter bumped once per reset
 // epoch in which the inline slots overflow into the table. Pass nil to
@@ -95,7 +95,7 @@ func (o *Overlay) Reset() {
 
 // Rebase resets the overlay and retargets it at a new base, making a pooled
 // overlay reusable across paths and simulator instances.
-func (o *Overlay) Rebase(base State) {
+func (o *Overlay) Rebase(base *Machine) {
 	o.Reset()
 	o.base = base
 }
@@ -125,7 +125,7 @@ func (o *Overlay) CopyFrom(src *Overlay) {
 // Retarget points the overlay at another base, keeping its speculative
 // state: a machine copied mid-run moves its copied overlays onto the
 // copied machine.
-func (o *Overlay) Retarget(base State) { o.base = base }
+func (o *Overlay) Retarget(base *Machine) { o.base = base }
 
 // Clone returns an independent overlay over the same base with a copy of
 // the current speculative state.

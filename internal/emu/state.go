@@ -2,7 +2,7 @@ package emu
 
 // State is the register-and-memory view an instruction executes against.
 // The architectural Machine implements it directly; Overlay implements it
-// copy-on-write over another State so that mis-speculated (wrong-path)
+// copy-on-write over a Machine so that mis-speculated (wrong-path)
 // instructions can execute without corrupting architectural state.
 type State interface {
 	ReadReg(r int) uint32

@@ -42,23 +42,23 @@ func (s *Sim) dispatchStage() {
 			return
 		}
 
+		// Read the registers from the slot, before it moves: loads from
+		// the entry just after the copy wait on its stores.
+		dest := slot.inst.DestReg()
+		src1, src2 := slot.inst.SrcRegs()
+		isCtrl := slot.class.IsControl()
 		e := &s.ruu[s.ruuTail]
-		// The checkpoint moves from the fetch slot into the RUU entry. The
-		// entry's previous checkpoint was recycled when it was released at
-		// commit; recycle defensively in case that invariant ever slips.
-		s.recycleCheckpoint(&e.checkpoint)
 		s.ruuState[s.ruuTail] = ruuValid
 		s.waiting.add(s.ruuTail)
-		e.fetchSlot = *slot
-		slot.clearCheckpoint() // buffer now owned by the entry
+		e.fetchSlot = *slot // the checkpoint handle moves with the slot
 		e.ruuExec = ruuExec{}
 		e.depIdx = [2]int{invalidIdx, invalidIdx}
-		e.destReg = e.inst.DestReg()
-		e.isCtrl = e.class.IsControl()
+		e.destReg = dest
+		e.isCtrl = isCtrl
 		s.popFetchSlot()
 
 		s.executeAtDispatch(p, e)
-		s.wireDependencies(p, e)
+		s.wireDependencies(p, e, src1, src2)
 		s.emit(TraceDispatch, e.seq, e.pathTok, e.pc, e.inst, e.actualNPC)
 
 		if isMem {
@@ -110,23 +110,22 @@ func (s *Sim) executeAtDispatch(p *path, e *ruuEntry) {
 				e.pc, th.mach.PC, e.seq, th.id)
 			return
 		}
-		out, err := emu.Exec(th.mach, e.pc, e.inst)
+		res, err := emu.Execute(th.mach, nil, e.pc, &e.inst)
 		if err != nil {
 			s.fail("architectural fault at pc=%#x (%s): %v", e.pc, e.inst.Disasm(e.pc), err)
 			return
 		}
-		th.mach.PC = out.NextPC
-		s.fillOutcome(e, out)
-		e.syscall = out.Syscall
-		e.syscallArg = out.SyscallArg
-		if out.Syscall == emu.SysExit {
+		th.mach.PC = res.NextPC
+		s.fillOutcome(e, res)
+		e.syscall, e.syscallArg = res.Syscall, res.SyscallArg
+		if res.Syscall == emu.SysExit {
 			th.drainExit = true
 			p.fetchDead = true // nothing after exit is worth fetching
 		}
 
 		if e.forked {
 			s.settleFork(p, e)
-		} else if e.predNPC != out.NextPC {
+		} else if e.predNPC != res.NextPC {
 			// Misprediction discovered: the path goes speculative; the
 			// recovery fires when this entry resolves at writeback.
 			e.mispred = true
@@ -137,17 +136,18 @@ func (s *Sim) executeAtDispatch(p *path, e *ruuEntry) {
 		return
 	}
 
-	// Wrong path: execute against the overlay. Faults (data fetched as
-	// code, garbage addresses) turn the instruction into a bubble.
-	out, err := emu.Exec(p.overlay, e.pc, e.inst)
+	// Wrong path: execute against the overlay, which falls through to the
+	// thread's machine. Faults (data fetched as code, garbage addresses)
+	// turn the instruction into a bubble.
+	res, err := emu.Execute(th.mach, p.overlay, e.pc, &e.inst)
 	if err != nil {
 		e.execErr = true
 		return
 	}
-	s.fillOutcome(e, out)
+	s.fillOutcome(e, res)
 	if e.forked {
 		s.settleFork(p, e)
-	} else if e.isCtrl && e.predNPC != out.NextPC {
+	} else if e.isCtrl && e.predNPC != res.NextPC {
 		// A wrong-path branch that would itself mispredict: note it for
 		// statistics, but wrong-path branches never trigger recovery —
 		// the whole path is squashed when the real misprediction resolves.
@@ -155,17 +155,11 @@ func (s *Sim) executeAtDispatch(p *path, e *ruuEntry) {
 	}
 }
 
-func (s *Sim) fillOutcome(e *ruuEntry, out emu.Outcome) {
-	e.actualNPC = out.NextPC
-	e.actualTaken = out.Taken
-	if out.IsLoad {
-		e.isLoad = true
-		e.memAddr = out.Addr
-	}
-	if out.IsStore {
-		e.isStore = true
-		e.memAddr = out.Addr
-	}
+// fillOutcome fills the entry's resolution fields from res.
+func (s *Sim) fillOutcome(e *ruuEntry, res emu.Result) {
+	e.actualNPC = res.NextPC
+	e.actualTaken = res.Taken
+	e.isLoad, e.isStore, e.memAddr = res.Load, res.Store, res.Addr
 }
 
 // settleFork decides, at the forked branch's dispatch, which side will be
@@ -216,10 +210,10 @@ func (s *Sim) settleFork(p *path, e *ruuEntry) {
 	}
 }
 
-// wireDependencies records up to two producing RUU slots for issue timing
-// and installs this entry as the newest producer of its destination.
-func (s *Sim) wireDependencies(p *path, e *ruuEntry) {
-	s1, s2 := e.inst.SrcRegs()
+// wireDependencies records the producing RUU slots of source registers s1
+// and s2 for issue timing and installs this entry as the newest producer
+// of its destination.
+func (s *Sim) wireDependencies(p *path, e *ruuEntry, s1, s2 int) {
 	for slotNo, r := range [2]int{s1, s2} {
 		if r <= 0 { // no operand, or $zero (always ready)
 			continue

@@ -67,7 +67,7 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 			s.emitA(TraceBlock, s.nextSeq+1, p.token, pc, isa.Inst{},
 				uint32(take), uint32(body), 0)
 			insts, classes := mach.FetchBlockInsts(pc, take)
-			for i, in := range insts {
+			for i := range insts {
 				budget--
 				s.stats.Fetched++
 				s.nextSeq++
@@ -76,9 +76,9 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 					tail -= len(s.fetchQ)
 				}
 				slot := &s.fetchQ[tail]
-				slot.reset(s.nextSeq, p.token, pc, in, classes[i], s.cycle+uint64(s.cfg.BranchLat))
+				slot.reset(s.nextSeq, p.token, pc, &insts[i], classes[i], s.cycle+uint64(s.cfg.BranchLat))
 				s.fetchQLen++
-				s.emit(TraceFetch, slot.seq, p.token, pc, in, slot.predNPC)
+				s.emit(TraceFetch, slot.seq, p.token, pc, insts[i], slot.predNPC)
 				pc += isa.WordBytes
 			}
 			p.fetchPC = pc
@@ -93,19 +93,14 @@ func (s *Sim) fetchPath(p *path, budget int) int {
 		s.stats.Fetched++
 		s.nextSeq++
 
-		// Fill the slot in its ring position. Writing a local fetchSlot
-		// first and copying it in would make the local escape to the heap
-		// (predictControl passes &slot.checkpoint through the
-		// core.ReturnStack interface) — one allocation per fetched
-		// instruction. Checkpoint buffers are pooled centrally (cpFree), so
-		// the slot starts with an empty checkpoint; takeCheckpoint borrows
-		// a recycled buffer when it needs one.
+		// Fill the slot in its ring position, with no checkpoint:
+		// takeCheckpoint lends it a table handle when it needs one.
 		tail := s.fetchQHead + s.fetchQLen
 		if tail >= len(s.fetchQ) {
 			tail -= len(s.fetchQ)
 		}
 		slot := &s.fetchQ[tail]
-		slot.reset(s.nextSeq, p.token, pc, in, cl, s.cycle+uint64(s.cfg.BranchLat))
+		slot.reset(s.nextSeq, p.token, pc, &in, cl, s.cycle+uint64(s.cfg.BranchLat))
 
 		stop := s.predictControl(p, slot)
 		s.fetchQLen++
@@ -296,22 +291,21 @@ func (s *Sim) takeCheckpoint(p *path, slot *fetchSlot) {
 	if p.ras == nil {
 		return
 	}
-	s.lendCheckpointBuffer(&slot.checkpoint)
-	p.ras.SaveInto(&slot.checkpoint)
-	if !slot.checkpoint.Valid() {
-		// Policy saved nothing; return any lent buffer to the pool.
-		s.recycleCheckpoint(&slot.checkpoint)
+	h := s.lendCheckpointBuffer()
+	p.ras.SaveInto(&s.cpTable[h])
+	if !s.cpTable[h].Valid() {
+		s.recycleCheckpoint(h) // the policy saved nothing
 		return
 	}
 	if s.cfg.ShadowSlots > 0 && s.shadowUsed >= s.cfg.ShadowSlots {
 		s.stats.CheckpointsDenied++
-		s.recycleCheckpoint(&slot.checkpoint)
+		s.recycleCheckpoint(h)
 		s.emitA(TraceCheckpoint, slot.seq, p.token, slot.pc, slot.inst,
 			0, uint32(s.shadowUsed), FlagDenied)
 		return
 	}
 	s.shadowUsed++
-	slot.hasCheckpoint = true
+	slot.checkpoint, slot.hasCheckpoint = h, true
 	s.emitA(TraceCheckpoint, slot.seq, p.token, slot.pc, slot.inst,
 		0, uint32(s.shadowUsed), 0)
 }

@@ -41,6 +41,12 @@ func TestInvariantsEveryCycle(t *testing.T) {
 			c.RUUSize = 128
 			return c
 		}(), corruptorProgram},
+		// One correct path per thread.
+		{"2-thread-smt", func() config.Config {
+			c := config.Baseline().WithPolicy(core.RepairFullStack)
+			c.SMTThreads = 2
+			return c
+		}(), corruptorProgram},
 	}
 	for _, c := range cases {
 		c := c
@@ -59,6 +65,56 @@ func TestInvariantsEveryCycle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInvariantsNameHandleFaults seeds the two ways a checkpoint handle
+// can escape its one owner, a handle held by two RUU entries and a handle
+// freed twice, and requires CheckInvariants to name each.
+func TestInvariantsNameHandleFaults(t *testing.T) {
+	s, err := New(config.Baseline().WithPolicy(core.RepairFullStack), mustAssemble(t, corruptorProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Step until the RUU holds an entry with a checkpoint and one without.
+	var holder, other *ruuEntry
+	for cyc := 0; holder == nil || other == nil; cyc++ {
+		if cyc == 10_000 {
+			t.Fatal("no RUU entry held a checkpoint")
+		}
+		if err := s.StepForTest(); err != nil {
+			t.Fatal(err)
+		}
+		holder, other = nil, nil
+		for i := range s.ruu {
+			switch e := &s.ruu[i]; {
+			case s.ruuState[i] != ruuValid:
+			case e.hasCheckpoint && holder == nil:
+				holder = e
+			case !e.hasCheckpoint && other == nil:
+				other = e
+			}
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := holder.checkpoint
+	other.checkpoint, other.hasCheckpoint = h, true
+	s.shadowUsed++ // the shadow slots still add up
+	want := fmt.Sprintf("checkpoint handle %d is held by seq", h)
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a handle held twice: CheckInvariants = %v, want %q", err, want)
+	}
+	other.checkpoint, other.hasCheckpoint = 0, false
+	s.shadowUsed--
+
+	f := s.cpHandles[len(s.cpHandles)-1]
+	s.cpHandles = append(s.cpHandles, f)
+	want = fmt.Sprintf("checkpoint handle %d is free twice", f)
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a handle freed twice: CheckInvariants = %v, want %q", err, want)
 	}
 }
 
@@ -81,7 +137,8 @@ func TestRUUSetWalkMatchesRingScan(t *testing.T) {
 					}
 				}
 				var got []int
-				w := b.walk(head)
+				var w ruuWalk
+				w.start(b, head)
 				for {
 					idx := w.next()
 					if idx < 0 {

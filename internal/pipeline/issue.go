@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"retstack/internal/core"
-	"retstack/internal/isa"
-)
+import "retstack/internal/isa"
 
 // issueStage selects ready instructions oldest-first and sends them to
 // functional units, respecting the issue width, per-class unit counts, and
@@ -17,7 +14,8 @@ func (s *Sim) issueStage() {
 
 	// Walk only the unissued entries, oldest first. Issuing removes only
 	// the entry just visited from the set, so no state re-check is needed.
-	w := s.waiting.walk(s.ruuHead)
+	var w ruuWalk
+	w.start(s.waiting, s.ruuHead)
 	for issueLeft > 0 {
 		idx := w.next()
 		if idx < 0 {
@@ -149,7 +147,8 @@ func (s *Sim) writebackStage() {
 	// Walk only the in-flight entries, oldest first. A recovery below
 	// squashes younger entries the walk may already hold (see ruuWalk), so
 	// each visited entry's state is checked again.
-	w := s.inflight.walk(s.ruuHead)
+	var w ruuWalk
+	w.start(s.inflight, s.ruuHead)
 	for {
 		idx := w.next()
 		if idx < 0 {
@@ -197,31 +196,31 @@ func (s *Sim) allocMSHR(lat uint64) {
 	s.misses = append(s.misses, s.cycle+lat)
 }
 
-// releaseCheckpoint frees a slot's or an entry's shadow slot and recycles
-// its buffer. Safe to call more than once (resolution and commit both
-// release).
+// releaseCheckpoint frees a slot's or an entry's shadow slot and its
+// checkpoint handle. Safe to call more than once (resolution and commit
+// both release).
 func (s *Sim) releaseCheckpoint(sl *fetchSlot) {
 	if sl.hasCheckpoint {
 		s.shadowUsed--
 		sl.hasCheckpoint = false
-	}
-	s.recycleCheckpoint(&sl.checkpoint)
-}
-
-// recycleCheckpoint invalidates a checkpoint and moves its full-stack
-// backing buffer (if any) to the free list, so released checkpoints never
-// keep a stack copy alive.
-func (s *Sim) recycleCheckpoint(c *core.Checkpoint) {
-	if b := c.TakeBuffer(); b != nil {
-		s.cpFree = append(s.cpFree, b)
+		s.recycleCheckpoint(sl.checkpoint)
+		sl.checkpoint = 0
 	}
 }
 
-// lendCheckpointBuffer hands a recycled buffer to a checkpoint about to be
-// saved into, making the save allocation-free in steady state.
-func (s *Sim) lendCheckpointBuffer(c *core.Checkpoint) {
-	if n := len(s.cpFree); n > 0 {
-		c.GiveBuffer(s.cpFree[n-1])
-		s.cpFree = s.cpFree[:n-1]
-	}
+// recycleCheckpoint invalidates checkpoint h and returns its handle to the
+// free stack; the entry keeps its buffer for the next SaveInto.
+func (s *Sim) recycleCheckpoint(h int32) {
+	s.cpTable[h].Invalidate()
+	s.cpHandles = append(s.cpHandles, h)
+}
+
+// lendCheckpointBuffer lends a free checkpoint handle for a save. The
+// table has a handle for every fetch-queue slot and RUU entry, and the
+// slot asking holds none, so one is always free.
+func (s *Sim) lendCheckpointBuffer() int32 {
+	n := len(s.cpHandles) - 1
+	h := s.cpHandles[n]
+	s.cpHandles = s.cpHandles[:n]
+	return h
 }

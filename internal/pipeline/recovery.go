@@ -36,7 +36,7 @@ func (s *Sim) recover(e *ruuEntry) {
 			sr.InvalidateAfter(e.seq)
 			s.traceRepair(p, e, FlagRepairTagged)
 		} else if e.hasCheckpoint {
-			p.ras.Restore(&e.checkpoint)
+			p.ras.Restore(&s.cpTable[e.checkpoint])
 			s.traceRepair(p, e, s.repairFlag())
 		} else {
 			// No repair available: policy none, or the shadow slot was
@@ -69,7 +69,7 @@ func (s *Sim) resolveFork(e *ruuEntry) {
 	// the paper finds that even checkpoint repair cannot make one unified
 	// stack work under multipath execution.
 	if s.cfg.MPStacks == config.MPUnifiedRepair && p.ras != nil && e.hasCheckpoint {
-		p.ras.Restore(&e.checkpoint)
+		p.ras.Restore(&s.cpTable[e.checkpoint])
 		s.traceRepair(p, e, s.repairFlag())
 	}
 
@@ -261,9 +261,7 @@ func (s *Sim) traceRepair(p *path, e *ruuEntry, fl TraceFlags) {
 // closure: the closure context (captured token/seq/scratch) costs a heap
 // allocation per squash.
 func (s *Sim) flushDoomedSlots(tok, seq uint64) {
-	// Work on ring slots in place: copying a slot to a local and passing
-	// its address into dropFetchSlot forces a heap allocation per examined
-	// slot (the local escapes through the checkpoint pointer).
+	// Work on ring slots in place: a kept slot moves at most once.
 	kept := 0
 	src := s.fetchQHead
 	dst := s.fetchQHead
@@ -278,8 +276,7 @@ func (s *Sim) flushDoomedSlots(tok, seq uint64) {
 			continue
 		}
 		if dst != cur {
-			s.fetchQ[dst] = *sl
-			sl.clearCheckpoint() // the buffer moved with the slot
+			s.fetchQ[dst] = *sl // the checkpoint handle moves with the slot
 		}
 		if dst++; dst == len(s.fetchQ) {
 			dst = 0

@@ -1,17 +1,20 @@
 package pipeline
 
 import (
+	"slices"
+
 	"retstack/internal/bpred"
 	"retstack/internal/cache"
 	"retstack/internal/config"
+	"retstack/internal/core"
 	"retstack/internal/emu"
 	"retstack/internal/program"
 	"retstack/internal/slicepool"
 )
 
 // Recycler pools a simulator's bulk allocations — the RUU ring, the fetch
-// queue, the cache hierarchy's line arrays, the BTB's entry array,
-// full-stack checkpoint backing buffers and flat overlays — across the
+// queue, the cache hierarchy's line arrays, the BTB's entry array, the
+// checkpoint table with its buffers and flat overlays — across the
 // sequence of Sim instances one sweep worker runs. A multi-hundred-cell
 // sweep otherwise re-allocates (and re-garbage-collects) the same few
 // structures hundreds of times, and keeps every finished cell's arrays
@@ -26,19 +29,23 @@ type Recycler struct {
 	slots    slicepool.Pool[fetchSlot]
 	lines    cache.Pool
 	btbs     bpred.BTBPool
-	bufs     [][]uint32
+	cpTable  []core.Checkpoint // the last released table: the next Sim takes one
 	overlays []*emu.Overlay
 }
 
 // NewRecycler returns an empty pool.
 func NewRecycler() *Recycler { return &Recycler{} }
 
-// takeBufs moves every pooled checkpoint buffer into a Sim's free list.
-// Contents are irrelevant: SaveInto overwrites a buffer before it is read.
-func (r *Recycler) takeBufs() [][]uint32 {
-	b := r.bufs
-	r.bufs = nil
-	return b
+// takeCheckpoints returns a checkpoint table of n invalid entries: the
+// pooled table when it has room, its entries keeping their buffers, since
+// SaveInto overwrites a buffer before it is read, or a new one.
+func (r *Recycler) takeCheckpoints(n int) []core.Checkpoint {
+	t := slices.Grow(r.cpTable[:0], n)[:n]
+	r.cpTable = nil
+	for i := range t {
+		t[i].Invalidate()
+	}
+	return t
 }
 
 // takeOverlays moves every pooled flat overlay into a Sim's free list.
@@ -55,30 +62,17 @@ func (r *Recycler) takeOverlays() []*emu.Overlay {
 // Run has finished and only when the Sim will not run again. The Sim keeps
 // its statistics, machines and direction predictor, and Caches() and BTB()
 // keep their statistics and geometry, but the RUU, the fetch queue, the
-// cache line arrays and the BTB entries are gone. Checkpoint buffers still
-// owned by queued slots and in-flight entries are harvested first, so no
-// stack copy leaks with the rings; each buffer has exactly one owner, so
-// none is pooled twice.
+// checkpoint table, the cache line arrays and the BTB entries are gone.
 func (s *Sim) Release(r *Recycler) {
 	if r == nil {
 		return
 	}
-	for i := range s.ruu {
-		if b := s.ruu[i].checkpoint.TakeBuffer(); b != nil {
-			r.bufs = append(r.bufs, b)
-		}
-	}
-	for i := range s.fetchQ {
-		if b := s.fetchQ[i].checkpoint.TakeBuffer(); b != nil {
-			r.bufs = append(r.bufs, b)
-		}
-	}
-	r.bufs = append(r.bufs, s.cpFree...)
 	r.ruu.Put(s.ruu)
 	r.slots.Put(s.fetchQ)
+	r.cpTable = s.cpTable
 	s.hier.Release(&r.lines)
 	s.btb.Release(&r.btbs)
-	s.ruu, s.fetchQ, s.cpFree = nil, nil, nil
+	s.ruu, s.fetchQ, s.cpTable, s.cpHandles = nil, nil, nil, nil
 	// Harvest flat overlays still attached to live paths along with the
 	// Sim's own free list, detaching the spill counters that point into
 	// this Sim.

@@ -31,7 +31,6 @@ type Sample struct {
 	// pressure.
 	RASDepth        int
 	CheckpointsLive int // in-flight RAS checkpoints (shadow slots in use)
-	CheckpointPool  int // recycled full-stack buffers currently pooled
 
 	// Cumulative squash/recovery counters, plus the deltas since the
 	// previous sample so consumers can build rate series or counters
@@ -117,7 +116,6 @@ func (s *Sim) takeSample() {
 		LivePaths:       s.liveCount,
 		RASDepth:        s.sampleRASDepth(),
 		CheckpointsLive: s.shadowUsed,
-		CheckpointPool:  len(s.cpFree),
 		Squashed:        s.stats.Squashed,
 		Recoveries:      s.stats.Recoveries,
 		NewSquashed:     s.stats.Squashed - s.lastSquashed,

@@ -58,9 +58,9 @@ type Sim struct {
 	nextRasID  uint16 // trace identity counter for distinct stacks (0 = shared)
 	shadowUsed int
 
-	// ovFree recycles flat wrong-path overlays the same way cpFree recycles
-	// checkpoint buffers: a released path's overlay parks here and the next
-	// fork draws from it, so steady-state forking allocates nothing.
+	// ovFree recycles flat wrong-path overlays: a released path's overlay
+	// parks here and the next fork draws from it, so steady-state forking
+	// allocates nothing.
 	ovFree []*emu.Overlay
 
 	// Squash scratch: tokens marked doomed by the current squash operation
@@ -69,12 +69,12 @@ type Sim struct {
 	doomedToks []uint64
 	stackSeen  []core.ReturnStack
 
-	// cpFree recycles full-stack checkpoint backing buffers: released
-	// checkpoints return their buffer here instead of keeping the stack
-	// copy alive, and takeCheckpoint draws from it, so the steady state
-	// allocates nothing and retains only as many buffers as there are
-	// concurrently live checkpoints.
-	cpFree [][]uint32
+	// cpTable holds the RAS checkpoints of in-flight branches, one entry
+	// per fetch-queue slot and RUU entry, each keeping its buffer for life,
+	// plus entry 0, never saved into: handle 0 means none, and restoring it
+	// is a no-op. cpHandles is the stack of free handles.
+	cpTable   []core.Checkpoint
+	cpHandles []int32
 
 	misses []uint64 // completion cycles of outstanding data-cache misses
 
@@ -163,8 +163,12 @@ func newSim(cfg config.Config, machs []*emu.Machine, r *Recycler) *Sim {
 		waiting:  newRUUSet(cfg.RUUSize),
 		inflight: newRUUSet(cfg.RUUSize),
 		fetchQ:   r.slots.Take(cfg.FetchWidth * (cfg.BranchLat + 2)),
-		cpFree:   r.takeBufs(),
 		ovFree:   r.takeOverlays(),
+	}
+	s.cpTable = r.takeCheckpoints(len(s.ruu) + len(s.fetchQ) + 1)
+	s.cpHandles = make([]int32, 0, len(s.cpTable)-1)
+	for h := len(s.cpTable) - 1; h > 0; h-- {
+		s.cpHandles = append(s.cpHandles, int32(h))
 	}
 	s.dirPred, s.hybrid = newDirPred(cfg)
 

@@ -98,17 +98,14 @@ type ruuExec struct {
 // fetchSlot is one entry of the fetch queue between the fetch engine and
 // dispatch, and the fetch-time half of an RUU entry. The front-end depth
 // (Config.BranchLat) is modeled by readyAt. Dispatch copies the slot
-// whole, so its fields are ordered by size to leave no padding.
+// whole, so its fields are ordered by size to leave no padding. The slot
+// holds no pointer, so the fetch queue and the RUU move with plain memory
+// copies and the garbage collector never scans them.
 type fetchSlot struct {
 	seq        uint64 // fetch-order sequence number
 	pathTok    uint64 // owning path's token (slots are recycled; tokens not)
 	readyAt    uint64
 	childToken uint64 // forked: token of the path created for the fall-through side
-
-	// RAS shadow state for repair. A checkpoint's full-stack buffer has
-	// exactly one owner: a queued slot, an RUU entry, or the Sim's free
-	// list.
-	checkpoint core.Checkpoint
 
 	// Direction-predictor history at prediction time (speculative-history
 	// mode: commit trains these indices, recovery restores the registers).
@@ -118,6 +115,9 @@ type fetchSlot struct {
 	pc      uint32
 	predNPC uint32
 	rasAux  uint32 // packed stack/slot the push wrote or pop read (see PackRASAux)
+	// RAS shadow state for repair: a handle into Sim.cpTable, held while
+	// hasCheckpoint is set and 0 (the never-valid entry) otherwise.
+	checkpoint int32
 
 	class         isa.Class
 	predTaken     bool
@@ -131,18 +131,13 @@ type fetchSlot struct {
 
 // reset fills a ring slot for a newly fetched instruction. The slot is
 // zeroed in place and then filled: assigning a non-zero composite literal
-// through the pointer would build it in a temporary and copy it in.
-func (sl *fetchSlot) reset(seq, pathTok uint64, pc uint32, in isa.Inst, cl isa.Class, readyAt uint64) {
+// through the pointer would build it in a temporary and copy it in. So
+// would passing the instruction by value, which stops it on the stack.
+func (sl *fetchSlot) reset(seq, pathTok uint64, pc uint32, in *isa.Inst, cl isa.Class, readyAt uint64) {
 	*sl = fetchSlot{}
-	sl.seq, sl.pathTok, sl.pc, sl.inst, sl.class, sl.readyAt = seq, pathTok, pc, in, cl, readyAt
+	sl.inst = *in
+	sl.seq, sl.pathTok, sl.pc, sl.class, sl.readyAt = seq, pathTok, pc, cl, readyAt
 	sl.predNPC = pc + isa.WordBytes
-}
-
-// clearCheckpoint forgets the slot's checkpoint after its buffer has moved
-// to another owner, so the buffer is never reachable from two places.
-func (sl *fetchSlot) clearCheckpoint() {
-	sl.hasCheckpoint = false
-	sl.checkpoint = core.Checkpoint{}
 }
 
 // ruuSet is a bitset over RUU slots. The Sim keeps two, waiting (state
@@ -157,14 +152,15 @@ func (b ruuSet) add(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b ruuSet) remove(i int)   { b[i>>6] &^= 1 << (i & 63) }
 func (b ruuSet) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
-// walk starts an oldest-first walk over the set's members. Members are
-// always occupied slots, which lie in ring order from the head, so the
-// walk takes the head's word from the head's bit up, the following words
-// round the ring, and finally the head's word below the head's bit.
-func (b ruuSet) walk(head int) ruuWalk {
+// start begins an oldest-first walk over b's members. Members are always
+// occupied slots, which lie in ring order from the head, so the walk takes
+// the head's word from the head's bit up, the following words round the
+// ring, and finally the head's word below the head's bit. It fills w in
+// place: a returned walk would be built on the stack and copied.
+func (w *ruuWalk) start(b ruuSet, head int) {
 	h := head >> 6
 	above := ^uint64(0) << (head & 63)
-	return ruuWalk{set: b, word: h, cur: b[h] & above, left: len(b), below: ^above}
+	w.set, w.word, w.cur, w.left, w.below = b, h, b[h]&above, len(b), ^above
 }
 
 // ruuWalk is an oldest-first walk over a ruuSet. Each word is read once,

@@ -210,7 +210,8 @@ func NewFork(s *Sim) *Fork {
 	c.waiting = slices.Clone(s.waiting)
 	c.inflight = slices.Clone(s.inflight)
 	c.fetchQ = slices.Clone(s.fetchQ)
-	copyCheckpoints(c)
+	c.cpTable = copyCheckpoints(s.cpTable)
+	c.cpHandles = slices.Clone(s.cpHandles)
 	c.misses = slices.Clone(s.misses)
 	c.stats.PerThreadCommitted = slices.Clone(s.stats.PerThreadCommitted)
 
@@ -225,34 +226,30 @@ func NewFork(s *Sim) *Fork {
 
 	c.doomedToks = make([]uint64, 0, cap(s.doomedToks))
 	c.stackSeen = make([]core.ReturnStack, 0, cap(s.stackSeen))
-	c.hier, c.btb, c.cpFree, c.ovFree = nil, nil, nil, nil
+	c.hier, c.btb, c.ovFree = nil, nil, nil
 	c.tracer, c.sampler, c.disturbAddr = nil, nil, nil
 	c.sampleEvery, c.disturbEvery = 0, 0
 	return &Fork{sim: c, caches: s.hier.Snapshot(), btb: s.btb.Snapshot()}
 }
 
-// copyCheckpoints gives every checkpoint buffer of c's rings, which still
-// alias the buffers of the Sim c was copied from, a copy of its own: a
-// buffer has one owner. The copies are carved from one array.
-func copyCheckpoints(c *Sim) {
+// copyCheckpoints returns a copy of a checkpoint table whose entries'
+// buffers are copies of their own, carved from one array: a buffer has one
+// owner.
+func copyCheckpoints(t []core.Checkpoint) []core.Checkpoint {
+	c := slices.Clone(t)
 	n := 0
-	for i := range c.ruu {
-		n += len(c.ruu[i].checkpoint.Buffer())
-	}
-	for i := range c.fetchQ {
-		n += len(c.fetchQ[i].checkpoint.Buffer())
+	for i := range c {
+		n += len(c[i].Buffer())
 	}
 	arena := make([]uint32, 0, n)
-	for i := range c.ruu {
-		arena = c.ruu[i].checkpoint.MoveBuffer(arena)
+	for i := range c {
+		arena = c[i].MoveBuffer(arena)
 	}
-	for i := range c.fetchQ {
-		arena = c.fetchQ[i].checkpoint.MoveBuffer(arena)
-	}
+	return c
 }
 
-// Start returns the copy ready to run, its caches, BTB, rings and free
-// lists drawn from r (nil allocates them). Call it once.
+// Start returns the copy ready to run, its caches, BTB, rings and overlay
+// pool drawn from r (nil allocates them). Call it once.
 func (f *Fork) Start(r *Recycler) *Sim {
 	if r == nil {
 		r = NewRecycler()
@@ -268,6 +265,6 @@ func (f *Fork) Start(r *Recycler) *Sim {
 	fq := r.slots.Take(len(s.fetchQ))
 	copy(fq, s.fetchQ)
 	s.ruu, s.fetchQ = ruu, fq
-	s.cpFree, s.ovFree = r.takeBufs(), r.takeOverlays()
+	s.ovFree = r.takeOverlays()
 	return s
 }

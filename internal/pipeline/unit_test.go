@@ -131,8 +131,8 @@ var forkCopies = map[string]string{
 	"ruuHead": "copied", "ruuTail": "copied", "ruuCount": "copied", "lsqCount": "copied",
 	"fetchQ": "copied", "fetchQHead": "copied", "fetchQLen": "copied",
 	"paths": "copied", "liveCount": "copied", "nextToken": "copied", "nextSeq": "copied",
-	"nextRasID": "copied", "shadowUsed": "copied",
-	"ovFree": "reset", "doomedToks": "reset", "stackSeen": "reset", "cpFree": "reset",
+	"nextRasID": "copied", "shadowUsed": "copied", "cpTable": "copied", "cpHandles": "copied",
+	"ovFree": "reset", "doomedToks": "reset", "stackSeen": "reset",
 	"misses": "copied", "cycle": "copied", "tracer": "reset", "stats": "copied",
 	"done": "copied", "runErr": "copied",
 	"overlaySpills": "copied", "overlayReuses": "copied",

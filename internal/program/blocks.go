@@ -40,17 +40,23 @@ func IsBlockTerminator(c isa.Class) bool {
 
 // BlockLenAt returns the basic-block length in instructions starting at
 // plane index idx — the straight-line body plus its terminator, or the run
-// to the end of the plane when no terminator follows. It returns n=0 when
-// idx is out of range. built reports whether this call performed the lazy
-// descriptor build (for telemetry); hits on an already-built entry return
-// built=false.
+// to the end of the plane when no terminator follows. idx must be in
+// range (BlockLen checks a PC). built reports whether this call performed
+// the lazy descriptor build (for telemetry). The hit path, the index's
+// bounds check and one atomic load, inlines into the block loops.
 func (p *Plane) BlockLenAt(idx uint32) (n uint32, built bool) {
-	if idx >= uint32(len(p.blocks)) {
-		return 0, false
+	if n = atomic.LoadUint32(&p.blocks[idx]); n == 0 {
+		return p.buildBlock(idx), true
 	}
-	if n := atomic.LoadUint32(&p.blocks[idx]); n != 0 {
-		return n, false
-	}
+	return
+}
+
+// buildBlock fills the descriptors of the block starting at idx and of
+// every suffix of it, and returns the block's length. It must not inline,
+// or BlockLenAt would not.
+//
+//go:noinline
+func (p *Plane) buildBlock(idx uint32) uint32 {
 	last := idx
 	for last < uint32(len(p.classes))-1 && !IsBlockTerminator(p.classes[last]) {
 		last++
@@ -58,7 +64,7 @@ func (p *Plane) BlockLenAt(idx uint32) (n uint32, built bool) {
 	for j := idx; j <= last; j++ {
 		atomic.StoreUint32(&p.blocks[j], last-j+1)
 	}
-	return last - idx + 1, true
+	return last - idx + 1
 }
 
 // BlockLen is BlockLenAt keyed by PC. It returns n=0 when pc is outside the

@@ -49,9 +49,14 @@ func TestBlockLenAt(t *testing.T) {
 			t.Errorf("BlockLenAt(%d) = %d, want %d", idx, n, wantN)
 		}
 	}
-	if n, _ := pl.BlockLenAt(uint32(pl.Len())); n != 0 {
-		t.Errorf("BlockLenAt(out of range) = %d, want 0", n)
-	}
+	// An index out of range is a caller's bug, caught by the slice's
+	// bounds check; BlockLen answers 0 for a PC outside the plane.
+	defer func() {
+		if recover() == nil {
+			t.Error("BlockLenAt(out of range) did not panic")
+		}
+	}()
+	pl.BlockLenAt(uint32(pl.Len()))
 }
 
 // TestBlockLenLazySuffixFill pins the laziness contract: the first touch of
